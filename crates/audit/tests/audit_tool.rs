@@ -275,8 +275,8 @@ fn real_workspace_call_graph_self_checks() {
         outcome.missing_roots
     );
     assert!(
-        outcome.entry_points >= 11,
-        "expected the 11 declared entry points to resolve, got {}",
+        outcome.entry_points >= 10,
+        "expected the 10 declared entry points to resolve, got {}",
         outcome.entry_points
     );
 

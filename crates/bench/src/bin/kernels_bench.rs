@@ -30,7 +30,7 @@ use roadpart_cluster::{kmeans, KMeansConfig};
 use roadpart_cut::{gaussian_affinity, gaussian_affinity_par};
 use roadpart_linalg::par::ThreadPool;
 use roadpart_linalg::vecops::{self, LANES};
-use roadpart_linalg::{BlockedCsrMatrix, CsrMatrix, DenseMatrix, RankOneUpdate, SymOp};
+use roadpart_linalg::{CsrMatrix, DenseMatrix, RankOneUpdate, SymOp};
 use serde_json::json;
 use std::hint::black_box;
 use std::time::Instant;
@@ -432,9 +432,8 @@ fn simd_vector_rows(runs: usize) -> Vec<SimdRow> {
     rows
 }
 
-/// Scalar-vs-lanes rows on one network's affinity matrix: CSR matvec (row
-/// major and blocked layouts), the Gaussian affinity construction, and the
-/// fused k-means assignment scan.
+/// Scalar-vs-lanes rows on one network's affinity matrix: CSR matvec, the
+/// Gaussian affinity construction, and the fused k-means assignment scan.
 fn simd_network_rows(
     adj: &CsrMatrix,
     affinity: &CsrMatrix,
@@ -464,24 +463,6 @@ fn simd_network_rows(
         kernel: "spmv",
         scalar_ms,
         lanes_ms,
-        bytes: spmv_bytes,
-        bit_identical: identical,
-    });
-
-    // Blocked layout vs row major (both lane-order; layout is the variable).
-    let blocked = BlockedCsrMatrix::from_csr(affinity);
-    let mut y_b = vec![0.0; n];
-    blocked.apply(x, &mut y_b);
-    affinity.matvec(x, &mut y_l).expect("dims fixed");
-    let identical = bit_diffs(&y_b, &y_l) == 0;
-    let row_major_ms = time_ms(runs, || {
-        affinity.matvec(x, black_box(&mut y_l)).expect("dims fixed");
-    });
-    let blocked_ms = time_ms(runs, || blocked.apply(x, black_box(&mut y_b)));
-    rows.push(SimdRow {
-        kernel: "spmv_blocked",
-        scalar_ms: row_major_ms,
-        lanes_ms: blocked_ms,
         bytes: spmv_bytes,
         bit_identical: identical,
     });

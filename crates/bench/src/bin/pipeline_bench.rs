@@ -1,9 +1,7 @@
 //! BENCH_pipeline — end-to-end AG/ASG pipeline wall time, per stage, for
-//! the pre-PR solver configuration (full reorthogonalization, sequential
-//! reduction order in the solver, unpruned k-means, per-κ mining DP sweeps,
-//! fresh scratch buffers) against the optimized defaults (ω-monitored
-//! selective reorthogonalization, canonical lane kernels, bound-pruned
-//! k-means, shared mining DP sweeps, pooled workspaces).
+//! the default configuration (ω-monitored selective reorthogonalization,
+//! canonical lane kernels, bound-pruned k-means, shared mining DP sweeps,
+//! pooled workspaces).
 //!
 //! ```text
 //! cargo run -p roadpart-bench --release --bin pipeline_bench -- --runs 3
@@ -11,18 +9,14 @@
 //! cargo run -p roadpart-bench --release --bin pipeline_bench -- --smoke
 //! ```
 //!
-//! Both configurations run in the same process on grid (scaled M1) and
-//! spider-web synthetic networks at three sizes, so `BENCH_pipeline.json`
-//! carries its own baseline — the speedup columns need no external
-//! reference. With `--features bench-alloc` a counting global allocator
-//! additionally records allocation counts per pipeline stage and for the
-//! steady-state spectral stage (retained workspace + warm artifacts, the
-//! online engine's epoch loop) against the cold baseline stage.
-//!
-//! A flat-vs-sharded scaling arm runs the ASG divide-and-conquer mode at
-//! 2/4/8 shards on every network, recording wall time against the flat
-//! pipeline plus the assembled partition's inter/intra/GDBI/ANS — the
-//! quality comparison that `integration_sharded` pins with per-metric ε.
+//! The pipeline runs on grid (scaled M1) and spider-web synthetic networks
+//! at three sizes. Earlier configurations are compared against previously
+//! recorded `BENCH_pipeline.json` files, not against slower code paths run
+//! in the same process. With `--features bench-alloc` a counting global
+//! allocator additionally records allocation counts per pipeline stage and
+//! for the steady-state spectral stage (retained workspace + warm
+//! artifacts, the online engine's epoch loop) against a cold stage (fresh
+//! workspace, no warm start).
 //!
 //! `--smoke` restricts the run to the smallest size with one repetition and
 //! keeps every internal validity check (finite, non-negative timings;
@@ -34,7 +28,7 @@ use roadpart_bench::{median, write_json};
 use roadpart_cut::{
     embedding_recovering_ws, spectral_partition_warm_ws, CutKind, SpectralArtifacts,
 };
-use roadpart_linalg::{KernelLayout, RecoveryLog, ReorthPolicy, ThreadPool, Workspace};
+use roadpart_linalg::{RecoveryLog, ThreadPool, Workspace};
 use roadpart_net::RoadGraph;
 use serde_json::json;
 use std::time::Instant;
@@ -167,23 +161,8 @@ fn build_networks(grid_scale: f64, rings: usize, spokes: usize, seed: u64) -> Ve
         .collect()
 }
 
-/// The pre-PR solver configuration: full reorthogonalization every Lanczos
-/// iteration, exhaustive k-means scans, per-κ 1-D DP sweeps in the mining
-/// stage, and the solver-internal reductions in the historical sequential
-/// order (`KernelLayout::LegacyScalar`) rather than the canonical lane
-/// order. Everything else matches `opt`.
-fn baseline_cfg(scheme: Scheme, seed: u64, pool: ThreadPool) -> PipelineConfig {
-    let mut cfg = optimized_cfg(scheme, seed, pool);
-    cfg.framework.spectral.eigen.reorth = ReorthPolicy::Full;
-    cfg.framework.spectral.eigen.layout = KernelLayout::LegacyScalar;
-    cfg.framework.spectral.kmeans.prune = false;
-    cfg.framework.mining.legacy_per_kappa_sweep = true;
-    cfg
-}
-
-/// The current defaults: selective reorthogonalization + pruned k-means +
-/// shared mining DP sweeps.
-fn optimized_cfg(scheme: Scheme, seed: u64, pool: ThreadPool) -> PipelineConfig {
+/// The default pipeline configuration for `scheme`.
+fn pipeline_cfg(scheme: Scheme, seed: u64, pool: ThreadPool) -> PipelineConfig {
     let mut cfg = PipelineConfig::asg(K);
     cfg.scheme = scheme;
     cfg.with_seed(seed).with_pool(pool)
@@ -253,15 +232,13 @@ impl PipelineSample {
     }
 }
 
-/// Cold baseline vs steady state for the spectral machinery on the AG
-/// affinity graph, at two scopes:
+/// Cold vs steady state for the spectral machinery on the AG affinity
+/// graph, both under the default configuration, at two scopes:
 ///
 /// * **eigensolve** — `embedding_recovering_ws`, the stage the workspace
-///   pool and selective reorthogonalization target. Cold = full reorth,
-///   no warm start, fresh workspace (the seed revision's behaviour);
-///   steady = selective + eigenvector warm start + retained warmed
-///   workspace (the online engine's repeating epoch). The ≥10x
-///   allocation-reduction criterion is read here.
+///   pool targets. Cold = no warm start, fresh workspace; steady =
+///   eigenvector warm start + retained warmed workspace (the online
+///   engine's repeating epoch).
 /// * **full stage** — `spectral_partition_warm_ws`, the whole
 ///   embedding + k-means + refinement stage, as context (its k-means and
 ///   refinement phases allocate per call by design).
@@ -276,8 +253,7 @@ fn spectral_stage_record(
     let affinity = roadpart_cut::gaussian_affinity_par(graph.adjacency(), graph.features(), &pool)?;
     let k = K.min(graph.node_count());
 
-    let base = baseline_cfg(Scheme::AG, seed, pool).framework.spectral;
-    let opt = optimized_cfg(Scheme::AG, seed, pool).framework.spectral;
+    let spectral = pipeline_cfg(Scheme::AG, seed, pool).framework.spectral;
 
     // -- Eigensolve scope --
     let mut log = RecoveryLog::new();
@@ -288,8 +264,8 @@ fn spectral_stage_record(
             &affinity,
             k,
             CutKind::Alpha,
-            &base.eigen,
-            &base.fallback,
+            &spectral.eigen,
+            &spectral.fallback,
             &mut log,
             &mut ws,
         )
@@ -298,7 +274,7 @@ fn spectral_stage_record(
     let y = res?;
 
     let mut ws = Workspace::new();
-    let mut eig = opt.eigen.clone();
+    let mut eig = spectral.eigen.clone();
     eig.start = Some(y);
     // First warm call sizes the pool; the counted second call is the
     // repeating epoch of the online engine.
@@ -307,7 +283,7 @@ fn spectral_stage_record(
         k,
         CutKind::Alpha,
         &eig,
-        &opt.fallback,
+        &spectral.fallback,
         &mut log,
         &mut ws,
     )?;
@@ -319,7 +295,7 @@ fn spectral_stage_record(
             k,
             CutKind::Alpha,
             &eig,
-            &opt.fallback,
+            &spectral.fallback,
             &mut log,
             &mut ws,
         )
@@ -338,7 +314,7 @@ fn spectral_stage_record(
             &affinity,
             k,
             CutKind::Alpha,
-            &base,
+            &spectral,
             None,
             &mut log,
             &mut cold_ws,
@@ -353,7 +329,7 @@ fn spectral_stage_record(
         &affinity,
         k,
         CutKind::Alpha,
-        &opt,
+        &spectral,
         Some(&artifacts),
         &mut log,
         &mut full_ws,
@@ -365,7 +341,7 @@ fn spectral_stage_record(
             &affinity,
             k,
             CutKind::Alpha,
-            &opt,
+            &spectral,
             Some(&artifacts),
             &mut log,
             &mut full_ws,
@@ -386,98 +362,17 @@ fn spectral_stage_record(
     };
     Ok(json!({
         "eigensolve": {
-            "cold_baseline": {"ms": eig_cold_ms, "allocs": eig_cold_allocs},
+            "cold": {"ms": eig_cold_ms, "allocs": eig_cold_allocs},
             "steady_state": {"ms": eig_steady_ms, "allocs": eig_steady_allocs},
             "alloc_reduction": reduction(eig_cold_allocs, eig_steady_allocs),
             "workspace_fresh_allocations": ws_fresh,
             "workspace_takes": ws_takes,
         },
         "full_stage": {
-            "cold_baseline": {"ms": full_cold_ms, "allocs": full_cold_allocs},
+            "cold": {"ms": full_cold_ms, "allocs": full_cold_allocs},
             "steady_state": {"ms": full_steady_ms, "allocs": full_steady_allocs},
             "alloc_reduction": reduction(full_cold_allocs, full_steady_allocs),
         },
-    }))
-}
-
-/// Flat-vs-sharded scaling arm for one network (ASG, optimized
-/// defaults): median wall time of the divide-and-conquer pipeline at
-/// each shard count against the flat pipeline, plus the assembled
-/// partition's paper metrics — the report carries the same quality
-/// comparison that `integration_sharded` pins with per-metric ε.
-fn sharded_scaling_record(
-    case: &NetCase,
-    seed: u64,
-    pool: ThreadPool,
-    runs: usize,
-    shard_counts: &[usize],
-    failures: &mut u32,
-) -> roadpart::Result<serde_json::Value> {
-    let mut graph = RoadGraph::from_network(&case.net)?;
-    graph.set_features(case.densities.clone())?;
-    let affinity = roadpart_cut::gaussian_affinity_par(graph.adjacency(), graph.features(), &pool)?;
-    let quality_json = |labels: &[usize]| {
-        let q = QualityReport::compute(&affinity, graph.features(), labels);
-        let finite = [q.inter, q.intra, q.gdbi, q.ans]
-            .iter()
-            .all(|m| m.is_finite() && *m >= 0.0);
-        (
-            finite,
-            json!({"inter": q.inter, "intra": q.intra, "gdbi": q.gdbi, "ans": q.ans}),
-        )
-    };
-
-    let flat_cfg = optimized_cfg(Scheme::ASG, seed, pool);
-    let flat = sample_pipeline(&case.net, &case.densities, &flat_cfg, runs)?;
-    let flat_result = partition_network(&case.net, &case.densities, &flat_cfg)?;
-    let (flat_finite, flat_quality) = quality_json(flat_result.partition.labels());
-    if !flat.is_valid() || !flat_finite {
-        eprintln!("FAIL [{} sharded-arm flat]: invalid sample", case.family);
-        *failures += 1;
-    }
-
-    let mut arms = Vec::new();
-    for &shards in shard_counts {
-        let cfg = optimized_cfg(Scheme::ASG, seed, pool).with_shards(shards);
-        let sample = sample_pipeline(&case.net, &case.densities, &cfg, runs)?;
-        let result = partition_network(&case.net, &case.densities, &cfg)?;
-        let (finite, quality) = quality_json(result.partition.labels());
-        if !sample.is_valid() || !finite {
-            eprintln!(
-                "FAIL [{} sharded-arm shards={shards}]: invalid sample",
-                case.family
-            );
-            *failures += 1;
-        }
-        let outcome = result
-            .sharded
-            .as_ref()
-            .expect("sharded mode always reports an outcome");
-        println!(
-            "  sharded shards={shards}: {:.1} ms ({:.2}x vs flat{})",
-            sample.total_ms,
-            flat.total_ms / sample.total_ms.max(1e-9),
-            if outcome.flat_fallback {
-                ", flat fallback"
-            } else {
-                ""
-            }
-        );
-        arms.push(json!({
-            "shards": shards,
-            "sharded": sample.to_json(),
-            "speedup_vs_flat": flat.total_ms / sample.total_ms.max(1e-9),
-            "flat_fallback": outcome.flat_fallback,
-            "seam_repairs": outcome.seam_repairs,
-            "shard_sizes": outcome.shard_sizes.clone(),
-            "quality": quality,
-        }));
-    }
-    Ok(json!({
-        "scheme": "ASG",
-        "flat": flat.to_json(),
-        "flat_quality": flat_quality,
-        "arms": arms,
     }))
 }
 
@@ -519,7 +414,7 @@ fn run() -> roadpart::Result<u32> {
 
     let mut failures = 0u32;
     let mut records = Vec::new();
-    // (segments, AG end-to-end speedup, alloc reduction) of the largest net.
+    // (segments, AG end-to-end ms, alloc reduction) of the largest net.
     let mut largest: Option<(usize, f64, Option<f64>)> = None;
 
     for &(size, grid_scale, rings, spokes) in &sizes[..n_sizes] {
@@ -527,43 +422,27 @@ fn run() -> roadpart::Result<u32> {
             let n = case.net.segment_count();
             println!("[{size}] {} — {n} segments", case.family);
             let mut scheme_records = Vec::new();
-            let mut ag_speedup = f64::NAN;
+            let mut ag_ms = f64::NAN;
             for scheme in [Scheme::AG, Scheme::ASG] {
-                let base_cfg = baseline_cfg(scheme, args.seed, pool);
-                let opt_cfg = optimized_cfg(scheme, args.seed, pool);
-                let base = sample_pipeline(&case.net, &case.densities, &base_cfg, runs)?;
-                let opt = sample_pipeline(&case.net, &case.densities, &opt_cfg, runs)?;
-                for (tag, s) in [("baseline", &base), ("optimized", &opt)] {
-                    if !s.is_valid() {
-                        eprintln!(
-                            "FAIL [{size} {} {scheme:?} {tag}]: invalid sample",
-                            case.family
-                        );
-                        failures += 1;
-                    }
+                let cfg = pipeline_cfg(scheme, args.seed, pool);
+                let sample = sample_pipeline(&case.net, &case.densities, &cfg, runs)?;
+                if !sample.is_valid() {
+                    eprintln!("FAIL [{size} {} {scheme:?}]: invalid sample", case.family);
+                    failures += 1;
                 }
-                let speedup = base.total_ms / opt.total_ms.max(1e-9);
                 if matches!(scheme, Scheme::AG) {
-                    ag_speedup = speedup;
+                    ag_ms = sample.total_ms;
                 }
-                println!(
-                    "  {scheme:>4?}: baseline {:.1} ms, optimized {:.1} ms ({speedup:.2}x)",
-                    base.total_ms, opt.total_ms
-                );
+                println!("  {scheme:>4?}: {:.1} ms", sample.total_ms);
                 scheme_records.push(json!({
                     "scheme": format!("{scheme:?}"),
-                    "baseline": base.to_json(),
-                    "optimized": opt.to_json(),
-                    "end_to_end_speedup": speedup,
+                    "pipeline": sample.to_json(),
                 }));
             }
             let spectral = spectral_stage_record(&case, args.seed, pool, &mut failures)?;
-            let shard_counts: &[usize] = if args.smoke { &[4] } else { &[2, 4, 8] };
-            let sharded =
-                sharded_scaling_record(&case, args.seed, pool, runs, shard_counts, &mut failures)?;
             if largest.map_or(true, |(seg, _, _)| n > seg) {
                 let red = spectral["eigensolve"]["alloc_reduction"].as_f64();
-                largest = Some((n, ag_speedup, red));
+                largest = Some((n, ag_ms, red));
             }
             records.push(json!({
                 "size": size,
@@ -572,19 +451,18 @@ fn run() -> roadpart::Result<u32> {
                 "k": K,
                 "schemes": scheme_records,
                 "spectral_stage": spectral,
-                "sharded_scaling": sharded,
             }));
         }
     }
 
-    let largest_rec = largest.map(|(seg, speedup, red)| {
+    let largest_rec = largest.map(|(seg, ag_ms, red)| {
         println!(
-            "\nlargest network: {seg} segments, AG end-to-end speedup {speedup:.2}x, \
+            "\nlargest network: {seg} segments, AG end to end {ag_ms:.1} ms, \
              spectral-stage alloc reduction {red:?}"
         );
         json!({
             "segments": seg,
-            "ag_end_to_end_speedup": speedup,
+            "ag_total_ms": ag_ms,
             "spectral_alloc_reduction": red,
         })
     });
@@ -599,8 +477,7 @@ fn run() -> roadpart::Result<u32> {
             "k": K,
             "host_threads": host_threads,
             "alloc_counting": alloc_count().is_some(),
-            "baseline_config": "ReorthPolicy::Full + KernelLayout::LegacyScalar + KMeansConfig{prune: false} + MiningConfig{legacy_per_kappa_sweep: true} + fresh workspace",
-            "optimized_config": "ReorthPolicy::Selective + KernelLayout::RowMajor lane kernels + KMeansConfig{prune: true} + MiningConfig{legacy_per_kappa_sweep: false} + retained workspace",
+            "config": "defaults: ReorthPolicy::Selective + lane kernels + KMeansConfig{prune: true} + shared mining DP sweep + retained workspace",
             "networks": records,
             "largest": largest_rec,
         }),

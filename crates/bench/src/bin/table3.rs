@@ -38,7 +38,6 @@ fn main() -> roadpart::Result<()> {
             scheme: Scheme::ASG,
             k,
             framework: FrameworkConfig::default().with_seed(args.seed),
-            mode: PartitionMode::Flat,
         };
         let result = partition_network(&dataset.network, dataset.eval_densities(), &cfg)?;
         let t = result.timings;

@@ -8,21 +8,31 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses alternating `--flag value` tokens.
+    /// Parses alternating `--flag value` tokens, accepting only the flags
+    /// named in `known` (without their `--` prefix).
     ///
     /// # Errors
-    /// Returns a message for a dangling flag or a token that is not a flag.
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Returns a message for a dangling flag, a token that is not a flag, a
+    /// flag not in `known`, or a flag given more than once.
+    pub fn parse(argv: &[String], known: &[&str]) -> Result<Self, String> {
         let mut values = HashMap::new();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
             let Some(name) = flag.strip_prefix("--") else {
                 return Err(format!("expected a --flag, found '{flag}'"));
             };
+            if !known.contains(&name) {
+                return Err(format!(
+                    "unknown flag --{name} (accepted: --{})",
+                    known.join(", --")
+                ));
+            }
             let Some(value) = it.next() else {
                 return Err(format!("flag --{name} is missing its value"));
             };
-            values.insert(name.to_string(), value.clone());
+            if values.insert(name.to_string(), value.clone()).is_some() {
+                return Err(format!("flag --{name} given more than once"));
+            }
         }
         Ok(Self { values })
     }
@@ -62,9 +72,11 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    const KNOWN: &[&str] = &["k", "scheme", "absent"];
+
     #[test]
     fn parses_pairs() {
-        let a = Args::parse(&argv(&["--k", "6", "--scheme", "asg"])).unwrap();
+        let a = Args::parse(&argv(&["--k", "6", "--scheme", "asg"]), KNOWN).unwrap();
         assert_eq!(a.required("k").unwrap(), "6");
         assert_eq!(a.get_or("k", 0usize).unwrap(), 6);
         assert_eq!(a.optional("scheme"), Some("asg"));
@@ -74,10 +86,31 @@ mod tests {
 
     #[test]
     fn rejects_malformed() {
-        assert!(Args::parse(&argv(&["k", "6"])).is_err());
-        assert!(Args::parse(&argv(&["--k"])).is_err());
-        let a = Args::parse(&argv(&["--k", "x"])).unwrap();
+        assert!(Args::parse(&argv(&["k", "6"]), KNOWN).is_err());
+        assert!(Args::parse(&argv(&["--k"]), KNOWN).is_err());
+        let a = Args::parse(&argv(&["--k", "x"]), KNOWN).unwrap();
         assert!(a.get_or("k", 0usize).is_err());
         assert!(a.required("missing").is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flag_by_name() {
+        for (tokens, name) in [
+            (&["--k", "6", "--sheme", "ng"][..], "--sheme"),
+            (&["--shards", "4"][..], "--shards"),
+            // Named as unknown even without a value to follow it.
+            (&["--bogus"][..], "--bogus"),
+        ] {
+            let err = Args::parse(&argv(tokens), KNOWN).err().unwrap();
+            assert!(err.starts_with(&format!("unknown flag {name}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejects_repeated_flag_by_name() {
+        let err = Args::parse(&argv(&["--k", "6", "--k", "7"]), KNOWN)
+            .err()
+            .unwrap();
+        assert_eq!(err, "flag --k given more than once");
     }
 }

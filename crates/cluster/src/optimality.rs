@@ -186,8 +186,7 @@ pub fn optimality_sweep(
 
 /// The pre-shared-sweep [`optimality_sweep`]: an independent DP re-solve
 /// per `kappa`. Produces bitwise-identical output at `Σκ`-layer cost; kept
-/// as the baseline arm of `pipeline_bench` and the reference side of the
-/// shared-vs-legacy differential tests.
+/// as the reference side of the shared-vs-legacy differential tests.
 ///
 /// # Errors
 /// Propagates k-means failures (`kappa` out of range, non-finite values).

@@ -47,7 +47,6 @@ pub mod pipeline;
 pub mod sanitize;
 pub mod schemes;
 pub mod select;
-pub mod sharded;
 pub mod stability;
 pub mod supergraph;
 pub mod superlink;
@@ -64,7 +63,6 @@ pub use sanitize::{
 };
 pub use schemes::{run_scheme, FrameworkConfig, Scheme, SchemeOutcome};
 pub use select::{select_k, KCandidate, KSelection};
-pub use sharded::{partition_sharded, PartitionMode, ShardConfig, ShardedOutcome};
 pub use stability::{stability, stability_check, StableSupernode};
 pub use supergraph::{Supergraph, Supernode};
 pub use superlink::{build_superlinks, build_superlinks_par};
@@ -84,7 +82,6 @@ pub mod prelude {
     pub use crate::sanitize::{sanitize_densities, SanitizePolicy, ValidationReport};
     pub use crate::schemes::{run_scheme, FrameworkConfig, Scheme};
     pub use crate::select::{select_k, KSelection};
-    pub use crate::sharded::{partition_sharded, PartitionMode, ShardConfig};
     pub use crate::supergraph::Supergraph;
     pub use crate::supervisor::{run_supervised, RunReport, SupervisedRun, SupervisorConfig};
     pub use roadpart_cut::{Partition, RefineStrategy, SpectralConfig};

@@ -518,10 +518,9 @@ impl CsrMatrix {
 /// Sparse gather-dot `Σ vals[p] · x[cols[p]]` in the canonical lane order:
 /// a left-to-right fold for rows shorter than [`crate::vecops::LANES`],
 /// otherwise [`crate::vecops::LANES`] accumulator chains combined by
-/// [`crate::vecops::reduce_lanes`]. Shared by the row-major and blocked CSR
-/// kernels so both layouts produce bit-identical products.
+/// [`crate::vecops::reduce_lanes`].
 #[inline]
-pub(crate) fn row_gather_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
+fn row_gather_dot(cols: &[usize], vals: &[f64], x: &[f64]) -> f64 {
     use crate::vecops::{reduce_lanes, LANES};
     debug_assert_eq!(cols.len(), vals.len());
     if cols.len() < LANES {

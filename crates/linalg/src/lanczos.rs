@@ -93,13 +93,6 @@ pub struct EigenConfig {
     /// performance knob. Default: [`ThreadPool::from_env`]
     /// (`ROADPART_THREADS`, serial fallback).
     pub pool: ThreadPool,
-    /// Sparse-operator memory layout for the spectral hot path (see
-    /// [`crate::layout`]). `RowMajor` and `Blocked` are purely performance
-    /// knobs producing bit-identical products; the bench-only
-    /// `LegacyScalar` variant instead re-runs the solver-internal
-    /// reductions in the historical sequential order. Default:
-    /// [`crate::layout::KernelLayout::RowMajor`].
-    pub layout: crate::layout::KernelLayout,
 }
 
 impl Default for EigenConfig {
@@ -113,7 +106,6 @@ impl Default for EigenConfig {
             reorth: ReorthPolicy::default(),
             start: None,
             pool: ThreadPool::from_env(),
-            layout: crate::layout::KernelLayout::default(),
         }
     }
 }
@@ -509,16 +501,6 @@ fn lanczos_run(
     let n = op.dim();
     let m_max = cfg.max_subspace.min(n - locked.len()).max(1);
     let selective = cfg.reorth == ReorthPolicy::Selective;
-    // The reduction order for the solver-internal dots and norms: canonical
-    // lanes, or the historical sequential fold when the bench-only
-    // `LegacyScalar` layout asks for the pre-lane kernels.
-    let legacy = cfg.layout == crate::layout::KernelLayout::LegacyScalar;
-    let dotf: fn(&[f64], &[f64]) -> f64 = if legacy { vecops::dot_seq } else { vecops::dot };
-    let normf: fn(&[f64]) -> f64 = if legacy {
-        vecops::norm2_seq
-    } else {
-        vecops::norm2
-    };
 
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m_max);
     let mut alphas: Vec<f64> = Vec::with_capacity(m_max);
@@ -537,7 +519,7 @@ fn lanczos_run(
 
     while basis.len() < m_max {
         op.apply_par_ws(&cfg.pool, ws, &q, &mut w);
-        let alpha = dotf(&w, &q);
+        let alpha = vecops::dot(&w, &q);
         vecops::axpy(-alpha, &q, &mut w);
         // Basis vectors and betas are pushed in lockstep, so both are
         // present or both absent.
@@ -560,25 +542,25 @@ fn lanczos_run(
             // iteration no matter what the ω estimates say.
             for _ in 0..2 {
                 for b in locked {
-                    let c = dotf(&w, b);
+                    let c = vecops::dot(&w, b);
                     if c != 0.0 {
                         vecops::axpy(-c, b, &mut w);
                     }
                 }
             }
-            let beta_est = normf(&w);
+            let beta_est = vecops::norm2(&w);
             if omega.advance_and_check(&alphas, &betas, beta_est) {
-                full_reorth(dotf, locked, &basis, &mut w);
+                full_reorth(locked, &basis, &mut w);
                 omega.record_full_sweep(basis.len());
-                normf(&w)
+                vecops::norm2(&w)
             } else {
                 omega.force_next = false;
                 beta_est
             }
         } else {
             // Historical unconditional path, bit-for-bit.
-            full_reorth(dotf, locked, &basis, &mut w);
-            normf(&w)
+            full_reorth(locked, &basis, &mut w);
+            vecops::norm2(&w)
         };
 
         if beta <= 1e-12 * scale {
@@ -613,8 +595,6 @@ fn lanczos_run(
             let done = (count >= need || j == m_max) && count > 0;
             if done {
                 run_out = Some(extract_pairs(
-                    dotf,
-                    normf,
                     &basis,
                     &theta,
                     &s,
@@ -656,17 +636,7 @@ fn lanczos_run(
                 let scale = theta.iter().fold(1.0f64, |a, &x| a.max(x.abs()));
                 converged_extremal(&theta, &s, last_beta, which, cfg.tol, scale)
             };
-            let out = extract_pairs(
-                dotf,
-                normf,
-                &basis,
-                &theta,
-                &s,
-                which,
-                count.min(need),
-                locked,
-                ws,
-            );
+            let out = extract_pairs(&basis, &theta, &s, which, count.min(need), locked, ws);
             ws.put(theta);
             ws.put_matrix(s);
             out
@@ -683,18 +653,11 @@ fn lanczos_run(
 }
 
 /// Two-pass classical Gram-Schmidt of `w` against the locked set and the
-/// whole basis — the historical full reorthogonalization sweep. `dotf` is
-/// the reduction the run selected (canonical lanes, or the sequential fold
-/// under the bench-only `LegacyScalar` layout).
-fn full_reorth(
-    dotf: fn(&[f64], &[f64]) -> f64,
-    locked: &[Vec<f64>],
-    basis: &[Vec<f64>],
-    w: &mut [f64],
-) {
+/// whole basis — the historical full reorthogonalization sweep.
+fn full_reorth(locked: &[Vec<f64>], basis: &[Vec<f64>], w: &mut [f64]) {
     for _ in 0..2 {
         for b in locked.iter().chain(basis.iter()) {
-            let c = dotf(w, b);
+            let c = vecops::dot(w, b);
             if c != 0.0 {
                 vecops::axpy(-c, b, w);
             }
@@ -733,10 +696,7 @@ fn converged_extremal(
 /// Forms `count` Ritz vectors from the wanted end, re-orthogonalized against
 /// the locked set. The returned vectors are pool buffers; whoever drops them
 /// should put them back.
-#[allow(clippy::too_many_arguments)]
 fn extract_pairs(
-    dotf: fn(&[f64], &[f64]) -> f64,
-    normf: fn(&[f64]) -> f64,
     basis: &[Vec<f64>],
     theta: &[f64],
     s: &DenseMatrix,
@@ -759,10 +719,10 @@ fn extract_pairs(
             vecops::axpy(s.get(r, i), b, &mut y);
         }
         for l in locked.iter().chain(vectors.iter()) {
-            let c = dotf(&y, l);
+            let c = vecops::dot(&y, l);
             vecops::axpy(-c, l, &mut y);
         }
-        let nrm = normf(&y);
+        let nrm = vecops::norm2(&y);
         if nrm == 0.0 {
             ws.put(y);
             continue; // fully deflated direction; skip rather than emit junk
@@ -913,55 +873,6 @@ mod tests {
                 let expect = if i == j { 1.0 } else { 0.0 };
                 assert!((dot - expect).abs() < 1e-8);
             }
-        }
-    }
-
-    #[test]
-    fn legacy_scalar_layout_matches_canonical_to_tolerance() {
-        // The bench-only LegacyScalar arm runs the solver-internal
-        // reductions in the historical sequential order. Same spectrum to
-        // solver tolerance; and on a ring the residual bound applies too.
-        let n = 200;
-        let a = ring_laplacian(n);
-        let canon = sym_eigs(&a, 4, Which::Smallest, &lanczos_cfg()).unwrap();
-        let legacy_cfg = EigenConfig {
-            layout: crate::layout::KernelLayout::LegacyScalar,
-            ..lanczos_cfg()
-        };
-        let legacy = sym_eigs(&a, 4, Which::Smallest, &legacy_cfg).unwrap();
-        for j in 0..4 {
-            assert!(
-                (canon.values[j] - legacy.values[j]).abs() < 1e-7,
-                "eigenvalue {j}: {} vs {}",
-                canon.values[j],
-                legacy.values[j]
-            );
-            let q = legacy.vector(j);
-            let mut aq = vec![0.0; n];
-            a.apply(&q, &mut aq);
-            for i in 0..n {
-                assert!((aq[i] - legacy.values[j] * q[i]).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn legacy_scalar_layout_is_bitwise_canonical_below_lane_width() {
-        // Vectors shorter than LANES reduce sequentially under both
-        // layouts, so a sub-lane-width operator must produce identical bits.
-        let n = vecops::LANES - 1;
-        let a = ring_laplacian(n);
-        let canon = sym_eigs(&a, 2, Which::Smallest, &lanczos_cfg()).unwrap();
-        let legacy_cfg = EigenConfig {
-            layout: crate::layout::KernelLayout::LegacyScalar,
-            ..lanczos_cfg()
-        };
-        let legacy = sym_eigs(&a, 2, Which::Smallest, &legacy_cfg).unwrap();
-        for j in 0..2 {
-            assert_eq!(canon.values[j].to_bits(), legacy.values[j].to_bits());
-            let (vc, vl) = (canon.vector(j), legacy.vector(j));
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&vc), bits(&vl), "vector {j}");
         }
     }
 

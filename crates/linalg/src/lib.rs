@@ -37,7 +37,6 @@ pub mod eigen_dense;
 pub mod error;
 pub mod fallback;
 pub mod lanczos;
-pub mod layout;
 pub mod operator;
 pub mod ord;
 pub mod par;
@@ -56,7 +55,6 @@ pub use fallback::{
 pub use lanczos::{
     densify, densify_with, sym_eigs, sym_eigs_ws, EigenConfig, PartialEigen, ReorthPolicy, Which,
 };
-pub use layout::{BlockedCsrMatrix, KernelLayout};
 pub use operator::{DiagScaledOp, RankOneUpdate, SymOp};
 pub use ord::{cmp_f64, max_by_f64_key, min_by_f64_key, sort_by_f64_key, sort_f64};
 pub use par::ThreadPool;

@@ -42,8 +42,8 @@ pub fn reduce_lanes(acc: &[f64; LANES]) -> f64 {
 }
 
 /// Plain left-to-right scalar dot product — the historical kernel, kept as
-/// the reference arm for the scalar-vs-lanes differential tests and
-/// benchmarks, and as the short-input path of [`dot`].
+/// the short-input path of [`dot`] and as the reference arm for the
+/// scalar-vs-lanes differential tests.
 ///
 /// # Panics
 /// Panics in debug builds if the lengths differ.
@@ -98,14 +98,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
-}
-
-/// Euclidean norm in the historical left-to-right order ([`dot_seq`]).
-/// Reference arm for the scalar-vs-lanes differentials and the
-/// [`crate::layout::KernelLayout::LegacyScalar`] bench emulation.
-#[inline]
-pub fn norm2_seq(a: &[f64]) -> f64 {
-    dot_seq(a, a).sqrt()
 }
 
 /// `y += alpha * x`.

@@ -276,7 +276,7 @@ proptest! {
     }
 }
 
-// --- Lane-unrolled reduction contract (vecops + layouts) ----------------
+// --- Lane-unrolled reduction contract (vecops) --------------------------
 //
 // The canonical order: lane `l` accumulates elements with index ≡ l
 // (mod LANES) in ascending order, lanes fold through the fixed tree
@@ -336,29 +336,6 @@ proptest! {
             .fold(0.0f64, |acc, p| acc + p);
         let got = dot(&ThreadPool::new(threads), &a, &b);
         prop_assert!(got.to_bits() == want.to_bits(), "{got} vs {want} at {threads} threads");
-    }
-
-    /// The blocked (SELL-style) layout produces bit-identical matvecs to
-    /// the row-major CSR at every pool size — the layout enum is purely a
-    /// performance knob.
-    #[test]
-    fn blocked_layout_matvec_bit_identical((a, x) in arb_sparse(), threads in 1usize..9) {
-        use roadpart_linalg::{par::ThreadPool, BlockedCsrMatrix};
-        let n = a.dim();
-        let mut y_row = vec![0.0; n];
-        a.matvec(&x, &mut y_row).unwrap();
-        let blocked = BlockedCsrMatrix::from_csr(&a);
-        let mut y_blk = vec![0.0; n];
-        blocked.apply(&x, &mut y_blk);
-        for (r, bkd) in y_row.iter().zip(&y_blk) {
-            prop_assert!(r.to_bits() == bkd.to_bits(), "serial blocked apply differs");
-        }
-        let pool = ThreadPool::new(threads);
-        let mut y_par = vec![0.0; n];
-        blocked.apply_par(&pool, &x, &mut y_par);
-        for (r, p) in y_row.iter().zip(&y_par) {
-            prop_assert!(r.to_bits() == p.to_bits(), "parallel blocked apply differs");
-        }
     }
 
     /// `map_entries` equals a from-scratch `from_triplets` rebuild of the

@@ -48,16 +48,16 @@ step kernels-deterministic sh -c \
   "grep -q '\"all_bit_identical\": true' target/experiments/BENCH_kernels.json && \
    grep -q '\"pipeline_label_diffs\": 0' target/experiments/BENCH_kernels.json"
 # SIMD gate: the scalar-vs-lanes differential tests (lane kernels vs their
-# canonical scalar reduction models, blocked vs row-major layout,
-# map_entries vs triplet rebuild) plus the bench's own zero-bit-diff
-# assertion over every scalar/lanes kernel pair.
+# canonical scalar reduction models, map_entries vs triplet rebuild) plus
+# the bench's own zero-bit-diff assertion over every scalar/lanes kernel
+# pair.
 step kernels-simd sh -c \
   "cargo test -q -p roadpart-linalg --test proptests && \
-   cargo test -q -p roadpart-linalg --lib -- vecops:: layout:: && \
+   cargo test -q -p roadpart-linalg --lib -- vecops:: && \
    grep -q '\"simd_all_bit_identical\": true' target/experiments/BENCH_kernels.json"
 # Hot-path perf gate: the end-to-end pipeline bench on the smallest size
-# rung with its internal validity checks (finite timings, successful
-# baseline + optimized runs under both schemes); exit code is the gate.
+# rung with its internal validity checks (finite timings, successful runs
+# under both schemes); exit code is the gate.
 step perf-smoke cargo run -q --release -p roadpart-bench --bin pipeline_bench -- --smoke
 # Self-healing gate: fault-injection replay suite (corrupt feeds,
 # blockades, solver faults, blown deadlines) plus the drift bench smoke
@@ -71,11 +71,6 @@ step drift-json  test -s target/experiments/BENCH_drift.json
 # the oracle/epoch swap; the bench smoke run validity-gates qps/latency
 # stats and the live-swap throughput into BENCH_serve.json.
 step serve-diff cargo test -q -p roadpart-serve --test integration_serve
-# Sharded-mode gate: the cross-mode differential harness pins the
-# divide-and-conquer pipeline ε-equivalent to the flat pipeline
-# (inter/intra/GDBI/ANS), bit-identical across pool widths and shard
-# submission orders, and gracefully degrading under injected shard faults.
-step shard-diff cargo test -q -p roadpart --test integration_sharded
 step serve-loom env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
   cargo test -q -p roadpart-serve --test loom_oracle
 step serve-smoke cargo run -q --release -p roadpart-bench --bin serve_bench -- --smoke

@@ -55,7 +55,6 @@ fn snapshot_with_reorth(scheme: Scheme, reorth: roadpart_linalg::ReorthPolicy) -
         scheme,
         k: K,
         framework,
-        mode: PartitionMode::Flat,
     }
     .with_seed(SEED)
     .with_threads(4);
@@ -143,57 +142,6 @@ fn golden_fixture_is_invariant_to_reorth_policy() {
     }
 }
 
-/// Shard count pinned by the sharded-mode fixture.
-const SHARDS: usize = 4;
-
-fn sharded_fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/golden_d1_sharded.json")
-}
-
-/// Runs the sharded (divide-and-conquer) ASG pipeline on the fixture
-/// network at a given pool width and evaluates the paper metrics.
-fn snapshot_sharded(threads: usize) -> SchemeSnapshot {
-    let dataset = roadpart::datasets::d1(SCALE, SEED).unwrap();
-    let mut graph = RoadGraph::from_network(&dataset.network).unwrap();
-    graph
-        .set_features(dataset.eval_densities().to_vec())
-        .unwrap();
-    let cfg = PipelineConfig::asg(K)
-        .with_seed(SEED)
-        .with_threads(threads)
-        .with_shards(SHARDS);
-    let result = partition_network(&dataset.network, dataset.eval_densities(), &cfg).unwrap();
-    assert!(
-        !result.sharded.as_ref().unwrap().flat_fallback,
-        "the fixture operating point must exercise the real sharded path"
-    );
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features()).unwrap();
-    let report = QualityReport::compute(&affinity, graph.features(), result.partition.labels());
-    SchemeSnapshot {
-        labels: result.partition.labels().to_vec(),
-        inter: report.inter,
-        intra: report.intra,
-        gdbi: report.gdbi,
-        ans: report.ans,
-    }
-}
-
-/// The sharded-mode golden snapshot: labels pinned exactly, metrics at
-/// [`METRIC_TOL`], and — because per-shard solves are gathered by
-/// canonical index — invariant across 1, 2, and 4 worker threads.
-#[test]
-fn golden_sharded_partition_snapshot() {
-    let raw = std::fs::read_to_string(sharded_fixture_path())
-        .expect("sharded golden fixture missing; run the ignored regenerate_sharded test");
-    let fixture: serde_json::Value = serde_json::from_str(&raw).expect("valid fixture JSON");
-    assert_eq!(fixture["seed"].as_f64(), Some(SEED as f64));
-    assert_eq!(fixture["k"].as_f64(), Some(K as f64));
-    assert_eq!(fixture["shards"].as_f64(), Some(SHARDS as f64));
-    for threads in [1usize, 2, 4] {
-        check_scheme(&fixture, "asg_sharded", &snapshot_sharded(threads));
-    }
-}
-
 #[test]
 #[ignore = "writes the golden fixture; run only for intentional algorithm changes"]
 fn regenerate() {
@@ -210,26 +158,6 @@ fn regenerate() {
         "asg": scheme_json(&asg),
     });
     let path = fixture_path();
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap()).unwrap();
-    println!("wrote {}", path.display());
-}
-
-#[test]
-#[ignore = "writes the sharded golden fixture; run only for intentional algorithm changes"]
-fn regenerate_sharded() {
-    let dataset = roadpart::datasets::d1(SCALE, SEED).unwrap();
-    let sharded = snapshot_sharded(4);
-    let value = serde_json::json!({
-        "description": "D1-like synth network sharded-mode golden snapshot (see integration_golden.rs)",
-        "seed": SEED,
-        "scale": SCALE,
-        "k": K,
-        "shards": SHARDS,
-        "segments": dataset.network.segment_count(),
-        "asg_sharded": scheme_json(&sharded),
-    });
-    let path = sharded_fixture_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, serde_json::to_string_pretty(&value).unwrap()).unwrap();
     println!("wrote {}", path.display());

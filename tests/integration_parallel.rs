@@ -254,7 +254,6 @@ fn pipeline_labels_identical_serial_vs_parallel() {
                     scheme,
                     k: 5,
                     framework: FrameworkConfig::default(),
-                    mode: PartitionMode::Flat,
                 }
                 .with_seed(31)
                 .with_threads(threads)

@@ -215,59 +215,4 @@ proptest! {
             );
         }
     }
-
-    /// Sharded assembly invariants: composing per-shard solves yields a
-    /// dense exact cover — labels without holes, every segment labeled
-    /// exactly once — and the boundary-refinement pass never empties a
-    /// partition at any hop radius (its partition count matches the
-    /// unrefined run's).
-    #[test]
-    fn sharded_assembly_invariants(
-        seed in 0u64..1000,
-        spider in any::<bool>(),
-        k in 3usize..6,
-        shards in 2usize..5,
-        hops in 0usize..4,
-    ) {
-        let (net, densities) = synth_network(seed, spider);
-        let mut shard_cfg = roadpart::ShardConfig::new(shards);
-        shard_cfg.refine_hops = hops;
-        let cfg = PipelineConfig::asg(k)
-            .with_seed(seed)
-            .with_shard_config(shard_cfg);
-        let result = roadpart::partition_network(&net, &densities, &cfg).unwrap();
-        let p = &result.partition;
-        let out = result.sharded.as_ref().unwrap();
-
-        // Every segment labeled exactly once: one label per segment and the
-        // shard split itself is an exact cover.
-        prop_assert_eq!(p.len(), net.segment_count());
-        let covered: usize = out.shard_sizes.iter().sum();
-        prop_assert_eq!(covered, net.segment_count());
-
-        // Label compaction: dense in 0..k with no holes.
-        let k_actual = p.k();
-        let mut seen = vec![false; k_actual];
-        for &l in p.labels() {
-            prop_assert!(l < k_actual, "label {} out of range 0..{}", l, k_actual);
-            seen[l] = true;
-        }
-        prop_assert!(seen.iter().all(|&s| s), "label hole below k = {}", k_actual);
-        prop_assert!(p.validate().is_ok());
-
-        // Refinement never empties a partition: everything before the
-        // refinement pass is hop-independent, and refinement + repair
-        // preserve the group count, so the unrefined run must agree on k
-        // and every refined group must be non-empty.
-        let mut base_cfg = roadpart::ShardConfig::new(shards);
-        base_cfg.refine_hops = 0;
-        let base = roadpart::partition_network(
-            &net,
-            &densities,
-            &PipelineConfig::asg(k).with_seed(seed).with_shard_config(base_cfg),
-        )
-        .unwrap();
-        prop_assert_eq!(base.partition.k(), k_actual);
-        prop_assert!(p.groups().iter().all(|g| !g.is_empty()));
-    }
 }

@@ -143,62 +143,6 @@ fn routes_stay_exact_across_an_epoch_swap() {
     assert_differential(&engine, &net, 60, 2);
 }
 
-/// A real partition from the divide-and-conquer (sharded) pipeline.
-fn sharded_partition_labels(
-    net: &RoadNetwork,
-    densities: &[f64],
-    k: usize,
-    shards: usize,
-    seed: u64,
-) -> Vec<usize> {
-    let mut graph = RoadGraph::from_network(net).unwrap();
-    graph.set_features(densities.to_vec()).unwrap();
-    let cfg = FrameworkConfig::default().with_seed(seed);
-    let out = roadpart::partition_sharded(
-        &graph,
-        Scheme::AG,
-        k,
-        &cfg,
-        &roadpart::ShardConfig::new(shards),
-    )
-    .unwrap();
-    assert!(
-        !out.flat_fallback,
-        "the serve fixture must exercise a genuinely sharded partition"
-    );
-    out.partition.labels().to_vec()
-}
-
-/// The boundary-node oracle set built over a *sharded* partition routes
-/// cost-exactly against the whole-network Dijkstra, and keeps doing so
-/// across an epoch swap to a different sharded labeling — the oracle
-/// layer must be agnostic to which pipeline produced the cells.
-#[test]
-fn sharded_partition_routes_are_exact_across_epoch_swap() {
-    let (net, densities) = synth_network(21, false, 0.3);
-    let labels = sharded_partition_labels(&net, &densities, 5, 4, 21);
-    let k = labels.iter().copied().max().map_or(0, |m| m + 1);
-    let engine = build_engine(&net, labels, 2);
-    assert_eq!(
-        engine.serving().partition_count(),
-        k,
-        "one cell oracle per sharded partition"
-    );
-    let routable = assert_differential(&engine, &net, 200, 3);
-    assert!(routable > 100, "sharded grid should route, got {routable}");
-
-    // Epoch swap to a different sharded labeling (more shards, new seed),
-    // as the streaming engine would publish after a rebuild.
-    let relabeled = sharded_partition_labels(&net, &densities, 6, 6, 77);
-    let k2 = relabeled.iter().copied().max().map_or(0, |m| m + 1);
-    engine.store().publish(relabeled, 1);
-    let outcome = engine.refresh().unwrap();
-    assert_eq!(outcome, RefreshOutcome::Rebuilt { version: 2 });
-    assert_eq!(engine.serving().version(), 2);
-    assert_eq!(engine.serving().partition_count(), k2);
-    assert_differential(&engine, &net, 200, 4);
-}
-
 #[test]
 fn unreachable_pairs_are_typed_errors_and_kept_out_of_stats() {
     use roadpart_net::{Intersection, IntersectionId, RoadSegment};
