@@ -2,8 +2,8 @@
 //! sizes representative of the paper's M1 (~2k supernodes) and below.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use roadpart_cut::{alpha_cut, normalized_cut, SpectralConfig};
-use roadpart_linalg::CsrMatrix;
+use roadpart_cut::{spectral_partition_recovering, CutKind, SpectralConfig};
+use roadpart_linalg::{CsrMatrix, RecoveryLog};
 
 /// Planted 8-community weighted graph of dimension `n` — the shape of a
 /// mined supergraph (community-structured, sparse, unit-scale weights).
@@ -30,12 +30,14 @@ fn bench_cuts(c: &mut Criterion) {
     let cfg = SpectralConfig::default().with_seed(1);
     for n in [256usize, 1024, 2048] {
         let adj = planted_supergraph(n);
-        group.bench_with_input(BenchmarkId::new("alpha", n), &adj, |b, a| {
-            b.iter(|| alpha_cut(a, 8, &cfg).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("ncut", n), &adj, |b, a| {
-            b.iter(|| normalized_cut(a, 8, &cfg).unwrap())
-        });
+        for (name, kind) in [("alpha", CutKind::Alpha), ("ncut", CutKind::Normalized)] {
+            group.bench_with_input(BenchmarkId::new(name, n), &adj, |b, a| {
+                b.iter(|| {
+                    spectral_partition_recovering(a, 8, kind, &cfg, &mut RecoveryLog::new())
+                        .unwrap()
+                })
+            });
+        }
     }
     group.finish();
 }

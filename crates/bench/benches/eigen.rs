@@ -2,7 +2,10 @@
 //! road-graph-shaped operators.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use roadpart_linalg::{eigh, sym_eigs, CsrMatrix, EigenConfig, RankOneUpdate, Which};
+use roadpart_linalg::{
+    eigh, sym_eigs_recovering, CsrMatrix, EigenConfig, FallbackConfig, RankOneUpdate, RecoveryLog,
+    Which,
+};
 
 /// Ring + random chords: sparse symmetric adjacency of dimension n.
 fn test_graph(n: usize) -> CsrMatrix {
@@ -37,7 +40,9 @@ fn bench_lanczos(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let op = RankOneUpdate::new(&a, d.clone(), 1.0 / s, -1.0).unwrap();
-                sym_eigs(&op, 5, Which::Smallest, &cfg).unwrap()
+                let mut log = RecoveryLog::new();
+                let fallback = FallbackConfig::default();
+                sym_eigs_recovering(&op, 5, Which::Smallest, &cfg, &fallback, &mut log).unwrap()
             })
         });
     }

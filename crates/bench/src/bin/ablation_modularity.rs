@@ -16,9 +16,10 @@
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use roadpart_bench::{write_json, ExpArgs};
-use roadpart_cut::{alpha_cut, dense_alpha_matrix, normalized_cut, SpectralConfig};
+use roadpart_cut::{dense_alpha_matrix, spectral_partition_recovering, CutKind, SpectralConfig};
 use roadpart_eval::modularity;
 use roadpart_linalg::CsrMatrix;
+use roadpart_linalg::RecoveryLog;
 
 /// Random planted-partition graph: `blocks` groups of `size` nodes,
 /// within-probability 0.6, across-probability `p_cross`.
@@ -73,8 +74,10 @@ fn main() {
         let size = 12;
         let g = planted(blocks, size, 0.04, &mut rng);
         let cfg = SpectralConfig::default().with_seed(args.seed + trial as u64);
-        let pa = alpha_cut(&g, blocks, &cfg).expect("alpha cut");
-        let pn = normalized_cut(&g, blocks, &cfg).expect("normalized cut");
+        let cut =
+            |kind| spectral_partition_recovering(&g, blocks, kind, &cfg, &mut RecoveryLog::new());
+        let pa = cut(CutKind::Alpha).expect("alpha cut");
+        let pn = cut(CutKind::Normalized).expect("normalized cut");
         let planted_labels: Vec<usize> = (0..blocks * size).map(|i| i / size).collect();
         let qa = modularity(&g, pa.labels());
         let qn = modularity(&g, pn.labels());

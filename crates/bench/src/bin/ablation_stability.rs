@@ -23,7 +23,11 @@ fn main() -> roadpart::Result<()> {
     );
     let dataset = roadpart::datasets::d1(args.scale, args.seed)?;
     let graph = eval_graph(&dataset)?;
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features())?;
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &roadpart_linalg::ThreadPool::serial(),
+    )?;
     println!(
         "{:>8} {:>12} {:>10} {:>10} {:>12}",
         "eps_eta", "supernodes", "ANS", "GDBI", "mine+cut ms"

@@ -31,8 +31,9 @@
 //! non-finite, or no scenario is ever detected.
 
 use roadpart_bench::write_json;
-use roadpart_cut::{gaussian_affinity, spectral_partition, CutKind, SpectralConfig};
+use roadpart_cut::{gaussian_affinity_par, spectral_partition_recovering, CutKind, SpectralConfig};
 use roadpart_eval::QualityReport;
+use roadpart_linalg::{RecoveryLog, ThreadPool};
 use roadpart_net::RoadGraph;
 use roadpart_stream::{EngineConfig, EpochAction, StreamEngine};
 use roadpart_traffic::{DensityHistory, Scenario};
@@ -221,11 +222,19 @@ fn run_case(
         // ingested densities, evaluated on the same affinity as the served
         // labels.
         let eval_graph = RoadGraph::from_network(net).expect("validated above");
-        let affinity = match gaussian_affinity(eval_graph.adjacency(), &snapshot) {
-            Ok(a) => a,
-            Err(e) => return failed_case(scenario, policy, &format!("affinity: {e}")),
-        };
-        let oracle = match spectral_partition(&affinity, K, CutKind::Alpha, &oracle_cfg) {
+        let affinity =
+            match gaussian_affinity_par(eval_graph.adjacency(), &snapshot, &ThreadPool::serial()) {
+                Ok(a) => a,
+                Err(e) => return failed_case(scenario, policy, &format!("affinity: {e}")),
+            };
+        let mut log = RecoveryLog::new();
+        let oracle = match spectral_partition_recovering(
+            &affinity,
+            K,
+            CutKind::Alpha,
+            &oracle_cfg,
+            &mut log,
+        ) {
             Ok(p) => p,
             Err(e) => return failed_case(scenario, policy, &format!("oracle: {e}")),
         };

@@ -27,7 +27,7 @@
 use roadpart::prelude::*;
 use roadpart_bench::{median, write_json, ExpArgs};
 use roadpart_cluster::{kmeans, KMeansConfig};
-use roadpart_cut::{gaussian_affinity, gaussian_affinity_par};
+use roadpart_cut::gaussian_affinity_par;
 use roadpart_linalg::par::ThreadPool;
 use roadpart_linalg::vecops::{self, LANES};
 use roadpart_linalg::{CsrMatrix, DenseMatrix, RankOneUpdate, SymOp};
@@ -181,9 +181,9 @@ fn spmv_canonical(m: &CsrMatrix, x: &[f64], y: &mut [f64]) {
 
 /// The historical Gaussian-affinity construction: per-link triplets fed
 /// through the full `from_triplets` bucket-sort/merge rebuild, with the
-/// same robust-MAD bandwidth `roadpart_cut` uses. `gaussian_affinity` now
-/// rewrites the adjacency's value array in place (`map_entries`), so the
-/// two must agree entry-for-entry, bit-for-bit.
+/// same robust-MAD bandwidth `roadpart_cut` uses. `gaussian_affinity_par`
+/// rewrites the adjacency's value array in place (`map_entries_par`), so
+/// the two must agree entry-for-entry, bit-for-bit.
 fn legacy_affinity(adj: &CsrMatrix, features: &[f64]) -> CsrMatrix {
     let sigma = robust_sigma_model(features);
     let var = sigma * sigma;
@@ -469,7 +469,8 @@ fn simd_network_rows(
 
     // Affinity construction: triplet rebuild vs in-place value map.
     let legacy = legacy_affinity(adj, features);
-    let current = gaussian_affinity(adj, features).expect("valid graph");
+    let serial = ThreadPool::serial();
+    let current = gaussian_affinity_par(adj, features, &serial).expect("valid graph");
     let identical = legacy.dim() == current.dim()
         && legacy.nnz() == current.nnz()
         && legacy
@@ -482,7 +483,7 @@ fn simd_network_rows(
         black_box(legacy_affinity(adj, features));
     });
     let lanes_ms = time_ms(runs, || {
-        black_box(gaussian_affinity(adj, features).expect("valid graph"));
+        black_box(gaussian_affinity_par(adj, features, &serial).expect("valid graph"));
     });
     rows.push(SimdRow {
         kernel: "affinity",
@@ -605,7 +606,7 @@ fn main() -> roadpart::Result<()> {
         let rows = vec![
             bench_kernel("spmv", &pools, args.runs, |pool| {
                 let mut y = vec![0.0; n];
-                affinity.par_matvec(pool, &x, &mut y).expect("dims fixed");
+                affinity.apply_par(pool, &x, &mut y);
                 y
             }),
             bench_kernel("alpha_apply", &pools, args.runs, |pool| {

@@ -16,9 +16,9 @@
 
 use roadpart_bench::{median, write_json, ExpArgs};
 use roadpart_cut::{
-    gaussian_affinity, spectral_partition_warm, CutKind, SpectralArtifacts, SpectralConfig,
+    gaussian_affinity_par, spectral_partition_warm_ws, CutKind, SpectralArtifacts, SpectralConfig,
 };
-use roadpart_linalg::{CsrMatrix, RecoveryLog};
+use roadpart_linalg::{CsrMatrix, RecoveryLog, ThreadPool, Workspace};
 use roadpart_net::RoadGraph;
 use serde_json::json;
 use std::time::Instant;
@@ -37,7 +37,11 @@ fn epoch_affinities(args: &ExpArgs) -> roadpart::Result<(usize, Vec<CsrMatrix>)>
         .collect();
     let mut affinities = Vec::with_capacity(picks.len());
     for t in picks {
-        affinities.push(gaussian_affinity(graph.adjacency(), dataset.history.at(t))?);
+        affinities.push(gaussian_affinity_par(
+            graph.adjacency(),
+            dataset.history.at(t),
+            &ThreadPool::serial(),
+        )?);
     }
     Ok((graph.node_count(), affinities))
 }
@@ -54,15 +58,20 @@ fn spectral_cfg(seed: u64) -> SpectralConfig {
 fn replay(affinities: &[CsrMatrix], seed: u64, warm: bool) -> roadpart::Result<Vec<f64>> {
     let cfg = spectral_cfg(seed);
     let mut log = RecoveryLog::new();
+    // Every solve gets a fresh workspace, so the arms differ only in the
+    // warm-start artifacts.
+    let mut solve = |aff: &CsrMatrix, prev: Option<&SpectralArtifacts>| {
+        let mut ws = Workspace::new();
+        spectral_partition_warm_ws(aff, K, CutKind::Alpha, &cfg, prev, &mut log, &mut ws)
+    };
     // Untimed initial solve seeds the warm chain (the engine's
     // initialization epoch).
-    let (_, mut artifacts) =
-        spectral_partition_warm(&affinities[0], K, CutKind::Alpha, &cfg, None, &mut log)?;
+    let (_, mut artifacts) = solve(&affinities[0], None)?;
     let mut times = Vec::with_capacity(affinities.len() - 1);
     for aff in &affinities[1..] {
         let prev = if warm { Some(&artifacts) } else { None };
         let t0 = Instant::now();
-        let (_, next) = spectral_partition_warm(aff, K, CutKind::Alpha, &cfg, prev, &mut log)?;
+        let (_, next) = solve(aff, prev)?;
         times.push(t0.elapsed().as_secs_f64() * 1e3);
         artifacts = if warm {
             next

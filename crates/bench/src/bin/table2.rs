@@ -38,7 +38,11 @@ fn main() -> roadpart::Result<()> {
     // JG-style baseline (single deterministic run per k; their method has
     // no eigenspace k-means randomness after the initial over-partition,
     // so we still take the median over runs for fairness).
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features())?;
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &roadpart_linalg::ThreadPool::serial(),
+    )?;
     let mut best: Option<(usize, f64)> = None;
     for k in 2..=args.kmax {
         let mut samples = Vec::with_capacity(args.runs);

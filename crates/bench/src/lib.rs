@@ -127,7 +127,11 @@ pub fn median_quality(
     runs: usize,
     seed: u64,
 ) -> roadpart::Result<QualityReport> {
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features())?;
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &roadpart_linalg::ThreadPool::serial(),
+    )?;
     let mut inter = Vec::with_capacity(runs);
     let mut intra = Vec::with_capacity(runs);
     let mut gdbi = Vec::with_capacity(runs);

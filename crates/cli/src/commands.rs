@@ -650,7 +650,11 @@ pub fn metrics(argv: &[String]) -> CliResult<()> {
     }
     let mut graph = RoadGraph::from_network(&net)?;
     graph.set_features(densities)?;
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features())?;
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &roadpart_linalg::ThreadPool::serial(),
+    )?;
     let dense = roadpart_cut::Partition::from_labels(&labels);
     let rep = QualityReport::compute(&affinity, graph.features(), dense.labels());
     println!("k          : {}", rep.k);

@@ -36,6 +36,23 @@ impl fmt::Display for RoadpartError {
     }
 }
 
+impl RoadpartError {
+    /// True when another attempt with a rotated seed can plausibly succeed:
+    /// the root cause is a numerical eigensolver failure
+    /// ([`roadpart_linalg::LinalgError::is_retryable`]), reached directly or
+    /// through the graph-cut layer. Everything else — bad configuration or
+    /// data, structural cut and clustering failures — fails the same way
+    /// on every seed.
+    pub fn is_retryable(&self) -> bool {
+        match self {
+            RoadpartError::Linalg(e) | RoadpartError::Cut(roadpart_cut::CutError::Linalg(e)) => {
+                e.is_retryable()
+            }
+            _ => false,
+        }
+    }
+}
+
 impl std::error::Error for RoadpartError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {

@@ -8,7 +8,10 @@
 //! description (see DESIGN.md "Substitutions").
 
 use crate::error::Result;
-use roadpart_cut::{gaussian_affinity, normalized_cut, Partition, SpectralConfig};
+use roadpart_cut::{
+    gaussian_affinity_par, spectral_partition_recovering, CutKind, Partition, SpectralConfig,
+};
+use roadpart_linalg::RecoveryLog;
 use roadpart_net::RoadGraph;
 
 /// Configuration for [`jg_partition`].
@@ -40,10 +43,17 @@ impl Default for JgConfig {
 /// Propagates normalized-cut failures.
 pub fn jg_partition(graph: &RoadGraph, k: usize, cfg: &JgConfig) -> Result<Partition> {
     let n = graph.node_count();
-    let affinity = gaussian_affinity(graph.adjacency(), graph.features())?;
+    let affinity =
+        gaussian_affinity_par(graph.adjacency(), graph.features(), &cfg.spectral.pool())?;
     // Step 1: excessive partitioning.
     let k_over = (cfg.over_factor.max(1) * k).clamp(k, n.max(1));
-    let over = normalized_cut(&affinity, k_over, &cfg.spectral)?;
+    let over = spectral_partition_recovering(
+        &affinity,
+        k_over,
+        CutKind::Normalized,
+        &cfg.spectral,
+        &mut RecoveryLog::new(),
+    )?;
 
     // Step 2: merge smallest partitions into their most density-similar
     // spatially adjacent neighbour until k remain.

@@ -65,9 +65,10 @@ pub use schemes::{run_scheme, FrameworkConfig, Scheme, SchemeOutcome};
 pub use select::{select_k, KCandidate, KSelection};
 pub use stability::{stability, stability_check, StableSupernode};
 pub use supergraph::{Supergraph, Supernode};
-pub use superlink::{build_superlinks, build_superlinks_par};
+pub use superlink::build_superlinks_par;
 pub use supervisor::{
-    error_chain, run_supervised, AttemptRecord, RunReport, SupervisedRun, SupervisorConfig,
+    error_chain, rotated_seed, run_supervised, AttemptRecord, RunReport, SupervisedRun,
+    SupervisorConfig,
 };
 
 /// Everything most applications need.
@@ -84,7 +85,7 @@ pub mod prelude {
     pub use crate::select::{select_k, KSelection};
     pub use crate::supergraph::Supergraph;
     pub use crate::supervisor::{run_supervised, RunReport, SupervisedRun, SupervisorConfig};
-    pub use roadpart_cut::{Partition, RefineStrategy, SpectralConfig};
+    pub use roadpart_cut::{Partition, SpectralConfig};
     pub use roadpart_eval::QualityReport;
     pub use roadpart_net::{RoadGraph, RoadNetwork, UrbanConfig};
     pub use roadpart_traffic::{CongestionField, MntgConfig, TemporalProfile};

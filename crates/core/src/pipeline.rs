@@ -10,6 +10,7 @@
 //! same breakdown.
 
 use crate::error::{Result, RoadpartError};
+use crate::mining::MiningOutcome;
 use crate::schemes::{run_scheme, FrameworkConfig, Scheme, SchemeOutcome};
 use roadpart_cut::Partition;
 use roadpart_linalg::RecoveryLog;
@@ -89,11 +90,12 @@ pub struct PipelineResult {
     pub supergraph_order: Option<usize>,
     /// Per-module wall-clock.
     pub timings: PipelineTimings,
-    /// Eigensolver fallback activity during module 3 (clean runs hold one
-    /// successful baseline event).
+    /// Eigensolver fallback activity during module 3: one event per
+    /// attempt of every eigensolve — the main embedding and each refinement
+    /// bipartition (clean runs hold only successful baseline events).
     pub recovery: RecoveryLog,
-    /// The full scheme outcome (mining diagnostics etc.).
-    pub outcome: SchemeOutcome,
+    /// Mining diagnostics for supergraph schemes (`None` for AG/NG).
+    pub mining: Option<MiningOutcome>,
 }
 
 /// True when stage-boundary structural validation is active: every debug
@@ -133,26 +135,30 @@ pub fn partition_network(
     // Modules 2 + 3 run inside run_scheme, which clocks the mining phase
     // itself; module 3 is the remainder.
     let t1 = Instant::now();
-    let outcome = run_scheme(&graph, cfg.scheme, cfg.k, &cfg.framework)?;
+    let SchemeOutcome {
+        partition,
+        mining,
+        mining_time,
+        recovery,
+    } = run_scheme(&graph, cfg.scheme, cfg.k, &cfg.framework)?;
     let rest = t1.elapsed();
-    let module2 = outcome.mining_time.min(rest);
+    let module2 = mining_time.min(rest);
     let module3 = rest.saturating_sub(module2);
     if STRICT_INVARIANTS {
-        if let Some(m) = &outcome.mining {
+        if let Some(m) = &mining {
             m.supergraph
                 .validate(graph.adjacency())
                 .map_err(|e| stage_violation("supergraph mining (module 2)", e))?;
         }
-        outcome
-            .partition
+        partition
             .validate()
             .map_err(|e| stage_violation("supergraph partitioning (module 3)", e))?;
-        if outcome.partition.len() != graph.node_count() {
+        if partition.len() != graph.node_count() {
             return Err(stage_violation(
                 "supergraph partitioning (module 3)",
                 format!(
                     "partition covers {} nodes but the road graph has {}",
-                    outcome.partition.len(),
+                    partition.len(),
                     graph.node_count()
                 ),
             ));
@@ -160,16 +166,16 @@ pub fn partition_network(
     }
 
     Ok(PipelineResult {
-        partition: outcome.partition.clone(),
-        supergraph_order: outcome.mining.as_ref().map(|m| m.supergraph.order()),
+        partition,
+        supergraph_order: mining.as_ref().map(|m| m.supergraph.order()),
         graph,
         timings: PipelineTimings {
             module1,
             module2,
             module3,
         },
-        recovery: outcome.recovery.clone(),
-        outcome,
+        recovery,
+        mining,
     })
 }
 

@@ -102,11 +102,6 @@ impl FrameworkConfig {
         self.spectral = self.spectral.with_pool(pool);
         self
     }
-
-    /// Convenience for [`FrameworkConfig::with_pool`] from a thread count.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_pool(roadpart_linalg::ThreadPool::new(threads))
-    }
 }
 
 /// Result of running one scheme.
@@ -119,8 +114,9 @@ pub struct SchemeOutcome {
     /// Wall-clock spent mining the supergraph (module 2 of the pipeline;
     /// zero for direct schemes).
     pub mining_time: std::time::Duration,
-    /// Every eigensolver attempt the fallback ladder made for the main
-    /// spectral embedding (a clean run has one successful baseline event).
+    /// Every eigensolver attempt the fallback ladder made during spectral
+    /// partitioning: the main embedding and each refinement bipartition (a
+    /// clean run holds only successful baseline events).
     pub recovery: RecoveryLog,
 }
 

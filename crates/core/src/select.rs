@@ -8,7 +8,7 @@
 
 use crate::error::Result;
 use crate::schemes::{run_scheme, FrameworkConfig, Scheme};
-use roadpart_cut::gaussian_affinity;
+use roadpart_cut::gaussian_affinity_par;
 use roadpart_eval::QualityReport;
 use roadpart_net::RoadGraph;
 use serde::{Deserialize, Serialize};
@@ -47,7 +47,8 @@ pub fn select_k(
     k_range: std::ops::RangeInclusive<usize>,
     cfg: &FrameworkConfig,
 ) -> Result<KSelection> {
-    let affinity = gaussian_affinity(graph.adjacency(), graph.features())?;
+    let affinity =
+        gaussian_affinity_par(graph.adjacency(), graph.features(), &cfg.spectral.pool())?;
     let mut sweep = Vec::new();
     for k in k_range {
         let out = run_scheme(graph, scheme, k, cfg)?;

@@ -27,24 +27,11 @@ use std::collections::BTreeMap;
 /// When the supernode features have zero variance, all similarities are 1
 /// (the Gaussian limit) and the superlink weights reduce to pure topology.
 ///
-/// # Errors
-/// Propagates matrix-construction failures (out-of-range `member_of`
-/// entries surface here).
-pub fn build_superlinks(
-    road_adj: &CsrMatrix,
-    member_of: &[usize],
-    features: &[f64],
-) -> Result<CsrMatrix> {
-    build_superlinks_par(road_adj, member_of, features, &ThreadPool::serial())
-}
-
-/// [`build_superlinks`] with the per-link similarity accumulation
-/// distributed over `pool`.
-///
-/// Each fixed row chunk accumulates its own ordered `(pair -> (Σ sim²,
-/// count))` map by scanning rows in index order; the chunk maps are then
-/// merged in chunk order. Chunk boundaries never depend on the thread
-/// count, so the result is bit-identical at any pool size.
+/// The per-link similarity accumulation runs over `pool`: each fixed row
+/// chunk accumulates its own ordered `(pair -> (Σ sim², count))` map by
+/// scanning rows in index order; the chunk maps are then merged in chunk
+/// order. Chunk boundaries never depend on the thread count, so the result
+/// is bit-identical at any pool size.
 ///
 /// # Errors
 /// Propagates matrix-construction failures (out-of-range `member_of`
@@ -125,7 +112,8 @@ mod tests {
     #[test]
     fn links_follow_member_adjacency() {
         let (adj, member_of) = setup();
-        let w = build_superlinks(&adj, &member_of, &[0.1, 0.5, 0.9]).unwrap();
+        let w = build_superlinks_par(&adj, &member_of, &[0.1, 0.5, 0.9], &ThreadPool::serial())
+            .unwrap();
         assert_eq!(w.dim(), 3);
         assert!(w.get(0, 1) > 0.0); // link 1-2 crosses supernodes 0-1
         assert!(w.get(1, 2) > 0.0); // link 2-3 crosses supernodes 1-2
@@ -136,7 +124,8 @@ mod tests {
     #[test]
     fn closer_features_weigh_more() {
         let (adj, member_of) = setup();
-        let w = build_superlinks(&adj, &member_of, &[0.1, 0.12, 0.9]).unwrap();
+        let w = build_superlinks_par(&adj, &member_of, &[0.1, 0.12, 0.9], &ThreadPool::serial())
+            .unwrap();
         assert!(
             w.get(0, 1) > w.get(1, 2),
             "similar supernodes should be more strongly linked"
@@ -146,7 +135,8 @@ mod tests {
     #[test]
     fn weights_in_unit_interval() {
         let (adj, member_of) = setup();
-        let w = build_superlinks(&adj, &member_of, &[0.0, 3.0, -1.0]).unwrap();
+        let w = build_superlinks_par(&adj, &member_of, &[0.0, 3.0, -1.0], &ThreadPool::serial())
+            .unwrap();
         for (_, _, x) in w.iter() {
             assert!(x > 0.0 && x <= 1.0);
         }
@@ -155,7 +145,8 @@ mod tests {
     #[test]
     fn zero_variance_gives_unit_weights() {
         let (adj, member_of) = setup();
-        let w = build_superlinks(&adj, &member_of, &[0.4, 0.4, 0.4]).unwrap();
+        let w = build_superlinks_par(&adj, &member_of, &[0.4, 0.4, 0.4], &ThreadPool::serial())
+            .unwrap();
         assert_eq!(w.get(0, 1), 1.0);
         assert_eq!(w.get(1, 2), 1.0);
     }
@@ -173,7 +164,7 @@ mod tests {
         let adj = CsrMatrix::from_undirected_edges(4, &edges).unwrap();
         let member_of = vec![0, 0, 1, 1];
         let features = [0.2, 0.8];
-        let w = build_superlinks(&adj, &member_of, &features).unwrap();
+        let w = build_superlinks_par(&adj, &member_of, &features, &ThreadPool::serial()).unwrap();
         let mu = 0.5;
         let var = ((0.2f64 - mu).powi(2) + (0.8f64 - mu).powi(2)) / 2.0;
         let expect = (-(0.6f64 * 0.6) / (2.0 * var)).exp();
@@ -183,7 +174,7 @@ mod tests {
     #[test]
     fn empty_supergraph() {
         let adj = CsrMatrix::from_triplets(0, &[]).unwrap();
-        let w = build_superlinks(&adj, &[], &[]).unwrap();
+        let w = build_superlinks_par(&adj, &[], &[], &ThreadPool::serial()).unwrap();
         assert_eq!(w.dim(), 0);
     }
 }

@@ -5,17 +5,19 @@
 //!
 //! 1. densities are sanitized per [`SanitizePolicy`] and the dual graph is
 //!    checked for degeneracy ([`crate::sanitize`]);
-//! 2. transient numerical failures are retried up to
-//!    [`SupervisorConfig::max_attempts`] times, rotating the seed of every
-//!    stochastic component between attempts;
-//! 3. when a supergraph scheme keeps failing (or its mining stage fails
-//!    structurally), the run degrades to the matching direct scheme
-//!    (ASG → AG, NSG → NG) and retries there;
+//! 2. transient numerical failures ([`RoadpartError::is_retryable`]) are
+//!    retried up to [`SupervisorConfig::max_attempts`] times, rotating the
+//!    seed of every stochastic component between attempts
+//!    ([`rotated_seed`]);
+//! 3. when a supergraph scheme keeps failing (or fails structurally, as a
+//!    broken mining stage does), the run degrades to the matching direct
+//!    scheme (ASG → AG, NSG → NG) and retries there;
 //! 4. every attempt — and every eigensolver fallback rung inside it — lands
 //!    in a machine-readable [`RunReport`] the CLI can serialize.
 //!
-//! Structural errors (bad config, unrepairable data) are never retried:
-//! re-running cannot change them.
+//! Structural errors (bad config, unrepairable data, structural cut and
+//! clustering failures) are never retried with another seed: re-running
+//! cannot change them.
 
 use crate::error::{Result, RoadpartError};
 use crate::pipeline::{partition_network, PipelineConfig, PipelineResult, PipelineTimings};
@@ -35,12 +37,17 @@ pub struct SupervisorConfig {
     /// Attempts per scheme (the original and, if degradation kicks in, the
     /// direct fallback each get this many). Clamped to at least 1.
     pub max_attempts: usize,
-    /// Seed offset between consecutive attempts; the first attempt runs the
-    /// pipeline exactly as configured.
-    pub seed_stride: u64,
-    /// Permit ASG → AG / NSG → NG degradation when the supergraph scheme is
-    /// out of attempts or fails structurally in mining.
-    pub allow_degradation: bool,
+}
+
+/// Seed offset between consecutive retry attempts, shared by the batch
+/// supervisor and the stream engine.
+pub const SEED_STRIDE: u64 = 0x9e37_79b9;
+
+/// The seed a retry runs under: attempt 0 is `base` itself (the run as
+/// configured), every further attempt shifts it by [`SEED_STRIDE`] so a
+/// retry is not a bit-identical rerun of the failure.
+pub fn rotated_seed(base: u64, attempt: usize) -> u64 {
+    base.wrapping_add(attempt as u64 * SEED_STRIDE)
 }
 
 impl SupervisorConfig {
@@ -51,8 +58,6 @@ impl SupervisorConfig {
             pipeline,
             policy: SanitizePolicy::ClampAndWarn,
             max_attempts: 3,
-            seed_stride: 0x9e37_79b9,
-            allow_degradation: true,
         }
     }
 }
@@ -103,15 +108,6 @@ pub struct SupervisedRun {
     pub report: RunReport,
 }
 
-/// True for failures where another attempt (new seed, other rung) can
-/// plausibly succeed; structural errors propagate immediately.
-fn is_retryable(err: &RoadpartError) -> bool {
-    matches!(
-        err,
-        RoadpartError::Linalg(_) | RoadpartError::Cut(_) | RoadpartError::Cluster(_)
-    )
-}
-
 /// Formats an error with its full `source()` chain on one line.
 pub fn error_chain(err: &dyn std::error::Error) -> String {
     let mut out = err.to_string();
@@ -143,9 +139,7 @@ pub fn run_supervised(
 
     let requested = cfg.pipeline.scheme;
     let mut schedule = vec![requested];
-    if cfg.allow_degradation {
-        schedule.extend(requested.degraded());
-    }
+    schedule.extend(requested.degraded());
     let max_attempts = cfg.max_attempts.max(1);
     let base_seed = cfg.pipeline.framework.mining.seed;
 
@@ -157,7 +151,7 @@ pub fn run_supervised(
             let attempt = attempts.len();
             let mut run_cfg = cfg.pipeline.clone();
             run_cfg.scheme = scheme;
-            let seed = base_seed.wrapping_add(attempt as u64 * cfg.seed_stride);
+            let seed = rotated_seed(base_seed, attempt);
             if attempt > 0 {
                 run_cfg = run_cfg.with_seed(seed);
             }
@@ -190,7 +184,7 @@ pub fn run_supervised(
                         succeeded: false,
                         error: Some(error_chain(&err)),
                     });
-                    let retryable = is_retryable(&err);
+                    let retryable = err.is_retryable();
                     last_err = Some(err);
                     if !retryable {
                         // Structural failure: more seeds will not help.
@@ -271,18 +265,6 @@ mod tests {
         assert_eq!(run.report.attempts.len(), 1);
         assert_eq!(run.report.recoveries.failures(), 2);
         assert!(run.report.recoveries.events.last().unwrap().succeeded);
-    }
-
-    #[test]
-    fn structural_error_fails_fast_without_degradation() {
-        let (net, densities) = small_net_and_densities();
-        let mut pipeline = PipelineConfig::asg(3).with_seed(5);
-        pipeline.framework.mining.mcg_threshold_frac = 2.0; // invalid
-        let mut cfg = SupervisorConfig::new(pipeline);
-        cfg.allow_degradation = false;
-        let err = run_supervised(&net, &densities, &cfg).unwrap_err();
-        // One attempt only: structural errors are never retried.
-        assert!(matches!(err, RoadpartError::InvalidConfig(_)), "{err}");
     }
 
     #[test]

@@ -26,19 +26,11 @@ use roadpart_linalg::CsrMatrix;
 /// limit — the graph degenerates to its topology, which is the correct
 /// behaviour for uniform congestion.
 ///
-/// # Errors
-/// Returns [`CutError::InvalidInput`] on length mismatch or non-finite
-/// features.
-pub fn gaussian_affinity(adj: &CsrMatrix, features: &[f64]) -> Result<CsrMatrix> {
-    gaussian_affinity_par(adj, features, &ThreadPool::serial())
-}
-
-/// [`gaussian_affinity`] with the per-link weighting distributed over
-/// `pool` in fixed row chunks. The weights are pure per-entry functions
-/// evaluated into deterministic slots of the adjacency's own sparsity
-/// pattern ([`CsrMatrix::map_entries_par`]), so the result is bit-identical
-/// to the serial construction at any pool size — and the full triplet
-/// sort/merge rebuild the historical path paid per time step disappears.
+/// The per-link weighting runs over `pool` in fixed row chunks. The
+/// weights are pure per-entry functions evaluated into deterministic slots
+/// of the adjacency's own sparsity pattern
+/// ([`CsrMatrix::map_entries_par`]), so the result is bit-identical at any
+/// pool size — and no triplet sort/merge rebuild is paid per time step.
 ///
 /// # Errors
 /// Returns [`CutError::InvalidInput`] on length mismatch or non-finite
@@ -127,13 +119,18 @@ fn robust_sigma(features: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// The affinity on the serial pool.
+    fn serial_affinity(adj: &CsrMatrix, features: &[f64]) -> Result<CsrMatrix> {
+        gaussian_affinity_par(adj, features, &ThreadPool::serial())
+    }
+
     fn path3() -> CsrMatrix {
         CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap()
     }
 
     #[test]
     fn similar_features_get_high_weight() {
-        let a = gaussian_affinity(&path3(), &[1.0, 1.01, 5.0]).unwrap();
+        let a = serial_affinity(&path3(), &[1.0, 1.01, 5.0]).unwrap();
         // With the robust (MAD) bandwidth the 0.01 gap costs some weight but
         // remains far above the outlier link.
         assert!(a.get(0, 1) > 0.5);
@@ -144,7 +141,7 @@ mod tests {
 
     #[test]
     fn weights_bounded_in_unit_interval() {
-        let a = gaussian_affinity(&path3(), &[0.0, 10.0, -3.0]).unwrap();
+        let a = serial_affinity(&path3(), &[0.0, 10.0, -3.0]).unwrap();
         for (_, _, w) in a.iter() {
             assert!(w > 0.0 && w <= 1.0);
         }
@@ -152,7 +149,7 @@ mod tests {
 
     #[test]
     fn uniform_features_degenerate_to_topology() {
-        let a = gaussian_affinity(&path3(), &[2.0, 2.0, 2.0]).unwrap();
+        let a = serial_affinity(&path3(), &[2.0, 2.0, 2.0]).unwrap();
         assert_eq!(a.get(0, 1), 1.0);
         assert_eq!(a.get(1, 2), 1.0);
         assert_eq!(a.get(0, 2), 0.0); // non-links stay absent
@@ -160,8 +157,8 @@ mod tests {
 
     #[test]
     fn validation() {
-        assert!(gaussian_affinity(&path3(), &[1.0]).is_err());
-        assert!(gaussian_affinity(&path3(), &[1.0, f64::NAN, 2.0]).is_err());
+        assert!(serial_affinity(&path3(), &[1.0]).is_err());
+        assert!(serial_affinity(&path3(), &[1.0, f64::NAN, 2.0]).is_err());
     }
 
     #[test]
@@ -175,7 +172,7 @@ mod tests {
         )
         .unwrap();
         let features = [0.010, 0.011, 0.030, 0.031, 5.0];
-        let a = gaussian_affinity(&adj, &features).unwrap();
+        let a = serial_affinity(&adj, &features).unwrap();
         let similar = a.get(0, 1); // 0.010 vs 0.011
         let across = a.get(1, 2); // 0.011 vs 0.030
         assert!(similar > 0.9, "similar pair weight {similar}");
@@ -212,7 +209,7 @@ mod tests {
                 }
             })
             .collect();
-        let serial = gaussian_affinity(&adj, &features).unwrap();
+        let serial = serial_affinity(&adj, &features).unwrap();
         for threads in [2, 4] {
             let pool = ThreadPool::new(threads);
             let par = gaussian_affinity_par(&adj, &features, &pool).unwrap();
@@ -234,7 +231,7 @@ mod tests {
         let adj =
             CsrMatrix::from_undirected_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]).unwrap();
         let features = [1.0, 1.0, 1.0, 2.0];
-        let a = gaussian_affinity(&adj, &features).unwrap();
+        let a = serial_affinity(&adj, &features).unwrap();
         assert!(a.get(0, 1) > 0.99);
         assert!(a.get(2, 3) < 0.99);
         assert!(a.get(2, 3) > 0.0);

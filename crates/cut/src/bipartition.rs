@@ -1,9 +1,9 @@
 //! Two-way spectral cuts (the primitive of the recursive refinement).
 
-use crate::embedding::{embedding, row_normalize, CutKind};
+use crate::embedding::{embedding_recovering, row_normalize, CutKind};
 use crate::error::Result;
 use roadpart_cluster::{kmeans, KMeansConfig};
-use roadpart_linalg::{CsrMatrix, EigenConfig};
+use roadpart_linalg::{CsrMatrix, EigenConfig, FallbackConfig, RecoveryLog};
 
 /// Splits a weighted graph into exactly two non-empty sides using the given
 /// cut's 2-dimensional spectral embedding, returning 0/1 labels.
@@ -16,6 +16,12 @@ use roadpart_linalg::{CsrMatrix, EigenConfig};
 ///   the second eigenvector;
 /// * that also failing (identical rows) → balanced index split.
 ///
+/// The eigensolve runs behind the solver fallback ladder with its default
+/// settings and records its attempts in `log`. It keeps its own scratch
+/// workspace: pooling the refinement's many small solves in the run's
+/// never-shrinking workspace fragments the heap and raises peak memory
+/// (DESIGN.md, "Hot-path performance").
+///
 /// # Errors
 /// Propagates eigensolver/k-means failures. A graph with fewer than two
 /// nodes returns all-zero labels.
@@ -24,6 +30,7 @@ pub fn bipartition(
     kind: CutKind,
     eig: &EigenConfig,
     km_cfg: &KMeansConfig,
+    log: &mut RecoveryLog,
 ) -> Result<Vec<usize>> {
     let n = adj.dim();
     if n < 2 {
@@ -32,7 +39,7 @@ pub fn bipartition(
     if n == 2 {
         return Ok(vec![0, 1]);
     }
-    let mut y = embedding(adj, 2, kind, eig)?;
+    let mut y = embedding_recovering(adj, 2, kind, eig, &FallbackConfig::default(), log)?;
     row_normalize(&mut y);
     let km = kmeans(&y, 2, km_cfg)?;
     let mut labels = km.assignments;
@@ -60,8 +67,10 @@ fn is_proper_bipartition(labels: &[usize]) -> bool {
 mod tests {
     use super::*;
 
-    fn cfgs() -> (EigenConfig, KMeansConfig) {
-        (EigenConfig::default(), KMeansConfig::default())
+    /// Bipartition with default settings and a fresh log.
+    fn split(adj: &CsrMatrix, kind: CutKind) -> Vec<usize> {
+        let (eig, km) = (EigenConfig::default(), KMeansConfig::default());
+        bipartition(adj, kind, &eig, &km, &mut RecoveryLog::new()).unwrap()
     }
 
     /// Two cliques of 4, weakly bridged.
@@ -80,9 +89,8 @@ mod tests {
 
     #[test]
     fn splits_two_cliques_cleanly() {
-        let (eig, km) = cfgs();
         for kind in [CutKind::Alpha, CutKind::Normalized] {
-            let labels = bipartition(&two_cliques(), kind, &eig, &km).unwrap();
+            let labels = split(&two_cliques(), kind);
             assert!(is_proper_bipartition(&labels));
             for i in 1..4 {
                 assert_eq!(labels[0], labels[i], "{kind:?}");
@@ -96,17 +104,10 @@ mod tests {
 
     #[test]
     fn tiny_graphs() {
-        let (eig, km) = cfgs();
         let one = CsrMatrix::from_triplets(1, &[]).unwrap();
-        assert_eq!(
-            bipartition(&one, CutKind::Alpha, &eig, &km).unwrap(),
-            vec![0]
-        );
+        assert_eq!(split(&one, CutKind::Alpha), vec![0]);
         let two = CsrMatrix::from_undirected_edges(2, &[(0, 1, 1.0)]).unwrap();
-        assert_eq!(
-            bipartition(&two, CutKind::Alpha, &eig, &km).unwrap(),
-            vec![0, 1]
-        );
+        assert_eq!(split(&two, CutKind::Alpha), vec![0, 1]);
     }
 
     #[test]
@@ -120,16 +121,14 @@ mod tests {
             }
         }
         let clique = CsrMatrix::from_undirected_edges(6, &edges).unwrap();
-        let (eig, km) = cfgs();
-        let labels = bipartition(&clique, CutKind::Alpha, &eig, &km).unwrap();
+        let labels = split(&clique, CutKind::Alpha);
         assert!(is_proper_bipartition(&labels));
     }
 
     #[test]
     fn edgeless_graph_splits() {
         let a = CsrMatrix::from_triplets(4, &[]).unwrap();
-        let (eig, km) = cfgs();
-        let labels = bipartition(&a, CutKind::Normalized, &eig, &km).unwrap();
+        let labels = split(&a, CutKind::Normalized);
         assert!(is_proper_bipartition(&labels));
     }
 }

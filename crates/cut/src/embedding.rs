@@ -8,8 +8,8 @@
 
 use crate::error::{CutError, Result};
 use roadpart_linalg::{
-    sym_eigs, sym_eigs_recovering_ws, CsrMatrix, DenseMatrix, DiagScaledOp, EigenConfig,
-    FallbackConfig, RankOneUpdate, RecoveryLog, Which, Workspace,
+    sym_eigs_recovering_ws, CsrMatrix, DenseMatrix, DiagScaledOp, EigenConfig, FallbackConfig,
+    RankOneUpdate, RecoveryLog, Which, Workspace,
 };
 use serde::{Deserialize, Serialize};
 
@@ -22,7 +22,7 @@ pub enum CutKind {
     Normalized,
 }
 
-/// Validates adjacency preconditions shared by both embeddings.
+/// Validates adjacency preconditions shared by both cut matrices.
 fn validate(adj: &CsrMatrix) -> Result<()> {
     if !adj.is_symmetric(1e-9) {
         return Err(CutError::InvalidInput(
@@ -37,71 +37,11 @@ fn validate(adj: &CsrMatrix) -> Result<()> {
     Ok(())
 }
 
-/// The `k` smallest eigenvectors of the α-Cut matrix as columns of an
-/// `n x k` matrix (the relaxed cluster indicator vectors).
+/// [`embedding_recovering_ws`] with a throwaway workspace, for one-shot
+/// callers.
 ///
 /// # Errors
-/// Propagates eigensolver failures; rejects asymmetric or negative input.
-pub fn alpha_embedding(adj: &CsrMatrix, k: usize, eig: &EigenConfig) -> Result<DenseMatrix> {
-    validate(adj)?;
-    let n = adj.dim();
-    let nev = k.min(n);
-    let d = adj.degrees();
-    let s: f64 = d.iter().sum();
-    // M = d d^T / s - A; for an edgeless graph (s = 0) M = -A = 0.
-    let scale = if s > 0.0 { 1.0 / s } else { 0.0 };
-    let op = RankOneUpdate::new(adj, d, scale, -1.0)?;
-    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
-    Ok(dec.vectors)
-}
-
-/// The `k` smallest eigenvectors of the normalized Laplacian as columns of
-/// an `n x k` matrix.
-///
-/// Zero-degree (isolated) nodes get `d^{-1/2} = 0`: their rows of `L_sym`
-/// reduce to the identity, leaving them spectrally inert, and they fall out
-/// as singleton components later in the pipeline.
-///
-/// # Errors
-/// Propagates eigensolver failures; rejects asymmetric or negative input.
-pub fn ncut_embedding(adj: &CsrMatrix, k: usize, eig: &EigenConfig) -> Result<DenseMatrix> {
-    validate(adj)?;
-    let n = adj.dim();
-    let nev = k.min(n);
-    let d_inv_sqrt: Vec<f64> = adj
-        .degrees()
-        .iter()
-        .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
-        .collect();
-    let op = DiagScaledOp::new(adj, d_inv_sqrt, -1.0, 1.0)?;
-    let dec = sym_eigs(&op, nev, Which::Smallest, eig)?;
-    Ok(dec.vectors)
-}
-
-/// Dispatches to the embedding matching `kind`.
-///
-/// # Errors
-/// See [`alpha_embedding`] / [`ncut_embedding`].
-pub fn embedding(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    eig: &EigenConfig,
-) -> Result<DenseMatrix> {
-    match kind {
-        CutKind::Alpha => alpha_embedding(adj, k, eig),
-        CutKind::Normalized => ncut_embedding(adj, k, eig),
-    }
-}
-
-/// [`embedding`] behind the solver fallback ladder: non-convergence and
-/// non-finite Ritz values trigger progressively more forgiving solver
-/// configurations instead of failing the cut outright. Every attempt is
-/// recorded in `log`.
-///
-/// # Errors
-/// Rejects asymmetric or negative input immediately; returns the last
-/// rung's numerical error if the whole ladder is exhausted.
+/// Same as [`embedding_recovering_ws`].
 pub fn embedding_recovering(
     adj: &CsrMatrix,
     k: usize,
@@ -113,14 +53,29 @@ pub fn embedding_recovering(
     embedding_recovering_ws(adj, k, kind, eig, fallback, log, &mut Workspace::new())
 }
 
-/// [`embedding_recovering`] drawing every solver scratch buffer from `ws`.
+/// The `k` smallest eigenvectors (`k` clamped to the graph order) of the
+/// cut matrix selected by `kind`, as columns of an `n x k` matrix — the
+/// relaxed cluster indicator vectors.
 ///
-/// Passing the same workspace across calls (the warm-solve loop of the
-/// online engine) keeps the Lanczos restart loop allocation-free after the
-/// first solve; results are bit-identical to the fresh-workspace path.
+/// * [`CutKind::Alpha`]: the α-Cut matrix `M = d dᵀ / (1ᵀD1) − A`, applied
+///   as a rank-one update of the adjacency (for an edgeless graph `M = 0`);
+/// * [`CutKind::Normalized`]: the normalized Laplacian
+///   `L_sym = I − D^{-1/2} A D^{-1/2}`. Zero-degree (isolated) nodes get
+///   `d^{-1/2} = 0`: their rows reduce to the identity, leaving them
+///   spectrally inert, and they fall out as singleton components later in
+///   the pipeline.
+///
+/// The eigensolve runs behind the solver fallback ladder: non-convergence
+/// and non-finite Ritz values trigger progressively more forgiving solver
+/// configurations instead of failing the cut outright, and every attempt
+/// is recorded in `log`. Scratch buffers come from `ws`; passing the same
+/// workspace across calls (the warm-solve loop of the online engine) keeps
+/// the Lanczos restart loop allocation-free after the first solve, and
+/// results are bit-identical to a fresh workspace.
 ///
 /// # Errors
-/// Same as [`embedding_recovering`].
+/// Rejects asymmetric or negative input immediately; returns the last
+/// rung's numerical error if the whole ladder is exhausted.
 #[allow(clippy::too_many_arguments)]
 pub fn embedding_recovering_ws(
     adj: &CsrMatrix,
@@ -188,6 +143,18 @@ mod tests {
     use super::*;
     use roadpart_linalg::eigh;
 
+    /// One embedding with the default solver settings.
+    fn embed(adj: &CsrMatrix, k: usize, kind: CutKind) -> Result<DenseMatrix> {
+        embedding_recovering(
+            adj,
+            k,
+            kind,
+            &EigenConfig::default(),
+            &FallbackConfig::default(),
+            &mut RecoveryLog::new(),
+        )
+    }
+
     /// Two triangles joined by one weak link — an obvious 2-partition.
     fn two_triangles() -> CsrMatrix {
         CsrMatrix::from_undirected_edges(
@@ -208,7 +175,7 @@ mod tests {
     #[test]
     fn alpha_embedding_matches_dense_eigensolve() {
         let a = two_triangles();
-        let y = alpha_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 2, CutKind::Alpha).unwrap();
         let dense = eigh(&dense_alpha_matrix(&a)).unwrap();
         // Column spans must agree: check eigenvalue residuals of y columns.
         let m = dense_alpha_matrix(&a);
@@ -229,7 +196,7 @@ mod tests {
     #[test]
     fn alpha_embedding_separates_clusters() {
         let a = two_triangles();
-        let mut y = alpha_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let mut y = embed(&a, 2, CutKind::Alpha).unwrap();
         row_normalize(&mut y);
         // Rows within each triangle should nearly coincide, across should not.
         let dist = |p: usize, q: usize| -> f64 {
@@ -249,7 +216,7 @@ mod tests {
     fn ncut_embedding_constant_direction_for_connected_graph() {
         // The smallest eigenvalue of L_sym is 0 with eigenvector D^{1/2} 1.
         let a = two_triangles();
-        let y = ncut_embedding(&a, 1, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 1, CutKind::Normalized).unwrap();
         let d = a.degrees();
         let col = y.col(0);
         // col should be proportional to sqrt(d).
@@ -272,24 +239,84 @@ mod tests {
     #[test]
     fn rejects_asymmetric_and_negative() {
         let asym = CsrMatrix::from_triplets(2, &[(0, 1, 1.0)]).unwrap();
-        assert!(alpha_embedding(&asym, 1, &EigenConfig::default()).is_err());
+        assert!(embed(&asym, 1, CutKind::Alpha).is_err());
         let neg = CsrMatrix::from_undirected_edges(2, &[(0, 1, -1.0)]).unwrap();
-        assert!(ncut_embedding(&neg, 1, &EigenConfig::default()).is_err());
+        assert!(embed(&neg, 1, CutKind::Normalized).is_err());
     }
 
     #[test]
     fn k_clamped_to_dimension() {
         let a = two_triangles();
-        let y = alpha_embedding(&a, 10, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 10, CutKind::Alpha).unwrap();
         assert_eq!(y.cols(), 6);
     }
 
     #[test]
     fn edgeless_graph_handled() {
         let a = CsrMatrix::from_triplets(4, &[]).unwrap();
-        let y = alpha_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let y = embed(&a, 2, CutKind::Alpha).unwrap();
         assert_eq!(y.rows(), 4);
-        let y2 = ncut_embedding(&a, 2, &EigenConfig::default()).unwrap();
+        let y2 = embed(&a, 2, CutKind::Normalized).unwrap();
         assert_eq!(y2.cols(), 2);
+    }
+
+    /// The α-Cut matrix equals the negative modularity matrix
+    /// `B = A - d dᵀ / (2m)` (§7: "This matrix actually equals to the
+    /// negative of our α-Cut matrix"), so minimizing α-Cut approximately
+    /// maximizes modularity.
+    #[test]
+    fn alpha_matrix_is_negative_modularity_matrix() {
+        let adj = CsrMatrix::from_undirected_edges(
+            5,
+            &[
+                (0, 1, 2.0),
+                (1, 2, 1.0),
+                (2, 3, 0.5),
+                (3, 4, 1.5),
+                (4, 0, 1.0),
+                (1, 3, 0.25),
+            ],
+        )
+        .unwrap();
+        let m = dense_alpha_matrix(&adj);
+        let d = adj.degrees();
+        let two_m: f64 = d.iter().sum();
+        for i in 0..5 {
+            for j in 0..5 {
+                let b = adj.get(i, j) - d[i] * d[j] / two_m;
+                assert!(
+                    (m.get(i, j) + b).abs() < 1e-12,
+                    "M[{i}][{j}] != -B[{i}][{j}]"
+                );
+            }
+        }
+    }
+
+    /// Eigenvectors of the k smallest α-Cut eigenvalues coincide with those
+    /// of the k largest modularity eigenvalues (White & Smyth equivalence).
+    #[test]
+    fn smallest_alpha_eigens_are_largest_modularity_eigens() {
+        let adj = CsrMatrix::from_undirected_edges(
+            6,
+            &[
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (0, 2, 1.0),
+                (3, 4, 1.0),
+                (4, 5, 1.0),
+                (3, 5, 1.0),
+                (2, 3, 0.1),
+            ],
+        )
+        .unwrap();
+        let m = dense_alpha_matrix(&adj);
+        let dec = eigh(&m).unwrap();
+        // -M's largest eigenvalue = -(M's smallest); same eigenvector.
+        let neg = roadpart_linalg::DenseMatrix::from_fn(6, 6, |i, j| -m.get(i, j));
+        let neg_dec = eigh(&neg).unwrap();
+        let n = 6;
+        for j in 0..2 {
+            assert!((dec.values[j] + neg_dec.values[n - 1 - j]).abs() < 1e-10);
+        }
     }
 }

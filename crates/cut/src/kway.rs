@@ -8,7 +8,12 @@
 //!    spatially connected partitions (line 11);
 //! 5. refine to exactly `k`: global recursive bipartitioning of the
 //!    condensed partition-connectivity graph for k′ > k (lines 12–24),
-//!    largest-first splitting for k′ < k.
+//!    largest-first splitting for k′ < k;
+//! 6. re-split any partition left spatially disconnected (condition C.2).
+//!
+//! Every eigensolve of the run — the main embedding and each bipartition of
+//! step 5 — goes through the solver fallback ladder and records its
+//! attempts in the caller's [`RecoveryLog`].
 
 use crate::embedding::{embedding_recovering_ws, row_normalize, CutKind};
 use crate::error::{CutError, Result};
@@ -18,51 +23,19 @@ use roadpart_cluster::{constrained_components, kmeans, KMeansConfig};
 use roadpart_linalg::{
     CsrMatrix, DenseMatrix, EigenConfig, FallbackConfig, RecoveryLog, Workspace,
 };
-use serde::{Deserialize, Serialize};
 
-/// How k′ ≠ k is resolved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RefineStrategy {
-    /// Global recursive bipartitioning of the condensed graph (the paper's
-    /// choice, efficient for large k′).
-    RecursiveBipartition,
-    /// Greedy pruning: merge the most-connected adjacent pair until k
-    /// (the paper's alternative; quadratic in k′).
-    GreedyMerge,
-    /// Keep the k′ natural partitions ("These k′ partitions may be accepted
-    /// as the final result", §5.4).
-    AcceptNatural,
-}
-
-/// Configuration for [`spectral_partition`].
-#[derive(Debug, Clone)]
+/// Configuration for [`spectral_partition_warm_ws`].
+#[derive(Debug, Clone, Default)]
 pub struct SpectralConfig {
     /// Eigensolver settings.
     pub eigen: EigenConfig,
     /// Eigenspace k-means settings (seeded; the paper reports medians over
     /// repeated runs because of this randomization).
     pub kmeans: KMeansConfig,
-    /// k′ ≠ k resolution strategy.
-    pub refine: RefineStrategy,
-    /// Re-split any final partition that ends up spatially disconnected
-    /// (condition C.2). Recursive bipartitioning of the condensed graph can
-    /// in principle group non-adjacent fine partitions; this restores
-    /// connectivity as a post-pass.
-    pub enforce_connectivity: bool,
-    /// Solver fallback ladder applied to the main spectral embedding.
+    /// Solver fallback ladder settings of the main spectral embedding (the
+    /// refinement bipartitions run the ladder with its defaults, so
+    /// injected failures hit the main embedding only).
     pub fallback: FallbackConfig,
-}
-
-impl Default for SpectralConfig {
-    fn default() -> Self {
-        Self {
-            eigen: EigenConfig::default(),
-            kmeans: KMeansConfig::default(),
-            refine: RefineStrategy::RecursiveBipartition,
-            enforce_connectivity: true,
-            fallback: FallbackConfig::default(),
-        }
-    }
 }
 
 impl SpectralConfig {
@@ -82,11 +55,6 @@ impl SpectralConfig {
         self
     }
 
-    /// Convenience for [`SpectralConfig::with_pool`] from a thread count.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_pool(roadpart_linalg::ThreadPool::new(threads))
-    }
-
     /// The pool the spectral kernels run on.
     pub fn pool(&self) -> roadpart_linalg::ThreadPool {
         self.eigen.pool
@@ -97,7 +65,7 @@ impl SpectralConfig {
 ///
 /// When the graph changes only slightly between runs (the online
 /// repartitioning setting), feeding the previous run's artifacts back into
-/// [`spectral_partition_warm`] seeds the Lanczos iteration with the old
+/// [`spectral_partition_warm_ws`] seeds the Lanczos iteration with the old
 /// eigenvectors and eigenspace k-means with the old centroids, cutting the
 /// dominant costs of the pipeline. Both hints are validated downstream and
 /// silently dropped when stale (dimension mismatch, non-finite entries), so
@@ -122,28 +90,11 @@ impl SpectralArtifacts {
     }
 }
 
-/// Partitions a weighted symmetric graph into `k` groups using the chosen
-/// spectral cut. See the module docs for the pipeline.
+/// [`spectral_partition_warm_ws`] from a cold start with a throwaway
+/// workspace, for one-shot callers.
 ///
 /// # Errors
-/// Returns [`CutError::BadPartitionCount`] for `k == 0` or `k > n`, plus any
-/// eigensolver/k-means failure.
-pub fn spectral_partition(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    cfg: &SpectralConfig,
-) -> Result<Partition> {
-    let mut log = RecoveryLog::new();
-    spectral_partition_recovering(adj, k, kind, cfg, &mut log)
-}
-
-/// [`spectral_partition`] that additionally reports solver fallback
-/// activity: the main embedding runs behind the ladder configured in
-/// [`SpectralConfig::fallback`], and every attempt lands in `log`.
-///
-/// # Errors
-/// Same as [`spectral_partition`].
+/// Same as [`spectral_partition_warm_ws`].
 pub fn spectral_partition_recovering(
     adj: &CsrMatrix,
     k: usize,
@@ -151,43 +102,32 @@ pub fn spectral_partition_recovering(
     cfg: &SpectralConfig,
     log: &mut RecoveryLog,
 ) -> Result<Partition> {
-    spectral_partition_warm(adj, k, kind, cfg, None, log).map(|(p, _)| p)
-}
-
-/// [`spectral_partition_recovering`] with warm-start support: optionally
-/// seeds the eigensolver and k-means from a previous run's
-/// [`SpectralArtifacts`], and returns this run's artifacts for the next one.
-///
-/// Stale artifacts (wrong dimensions for the current graph or `k`) are
-/// ignored per-component, so callers can pass whatever they captured last
-/// without revalidating. For `k == n` (singleton partitions) no spectral
-/// work happens and empty artifacts are returned.
-///
-/// # Errors
-/// Same as [`spectral_partition`].
-pub fn spectral_partition_warm(
-    adj: &CsrMatrix,
-    k: usize,
-    kind: CutKind,
-    cfg: &SpectralConfig,
-    warm: Option<&SpectralArtifacts>,
-    log: &mut RecoveryLog,
-) -> Result<(Partition, SpectralArtifacts)> {
     let mut ws = Workspace::new();
-    spectral_partition_warm_ws(adj, k, kind, cfg, warm, log, &mut ws)
+    spectral_partition_warm_ws(adj, k, kind, cfg, None, log, &mut ws).map(|(p, _)| p)
 }
 
-/// [`spectral_partition_warm`] drawing the eigensolver's scratch buffers
-/// from a caller-owned [`Workspace`].
+/// Partitions a weighted symmetric graph into `k` groups using the chosen
+/// spectral cut (see the module docs for the pipeline).
 ///
-/// The online repartitioning engine calls this every epoch with a retained
-/// workspace, so after the first (cold) solve the spectral stage of every
-/// subsequent epoch runs its hot loops allocation-free. Results are
-/// bit-identical to [`spectral_partition_warm`] — the workspace only
-/// recycles buffer *capacity*, never contents.
+/// Every eigensolve — the main embedding and each refinement bipartition —
+/// runs behind the solver fallback ladder and records its attempts in
+/// `log`; the main embedding uses [`SpectralConfig::fallback`]. The main
+/// embedding draws its scratch buffers from the caller-owned `ws`: the
+/// online repartitioning engine passes a retained workspace every epoch,
+/// so after the first (cold) solve the spectral hot loops run
+/// allocation-free. Results are bit-identical to a fresh workspace — it
+/// only recycles buffer *capacity*, never contents.
+///
+/// `warm` optionally seeds the eigensolver and k-means from a previous
+/// run's [`SpectralArtifacts`]; the call returns this run's artifacts for
+/// the next one. Stale artifacts (wrong dimensions for the current graph
+/// or `k`) are ignored per-component, so callers can pass whatever they
+/// captured last without revalidating. For `k == n` (singleton partitions)
+/// no spectral work happens and empty artifacts are returned.
 ///
 /// # Errors
-/// Same as [`spectral_partition`].
+/// Returns [`CutError::BadPartitionCount`] for `k == 0` or `k > n`, plus any
+/// eigensolver/k-means failure.
 #[allow(clippy::too_many_arguments)]
 pub fn spectral_partition_warm_ws(
     adj: &CsrMatrix,
@@ -233,23 +173,23 @@ pub fn spectral_partition_warm_ws(
     let comp = constrained_components(adj, Some(&km.assignments))?;
     let fine = Partition::from_labels(&comp);
 
-    let mut result = refine_to_k(adj, &fine, k, kind, cfg)?;
-    if cfg.enforce_connectivity {
-        // Alternate connectivity enforcement and re-refinement a bounded
-        // number of times; if the graph fundamentally cannot host k
-        // connected partitions (more components than k), connectivity wins.
-        for _ in 0..2 {
-            let connected = enforce_connectivity(adj, &result)?;
-            if connected.k() == result.k() {
-                break;
-            }
-            result = connected;
-            if result.k() > k {
-                result = refine_to_k(adj, &result, k, kind, cfg)?;
-            }
+    let mut result = refine_to_k(adj, &fine, k, kind, cfg, log)?;
+    // Condition C.2: recursive bipartitioning of the condensed graph can
+    // group non-adjacent fine partitions, so alternate connectivity
+    // enforcement and re-refinement a bounded number of times; if the graph
+    // fundamentally cannot host k connected partitions (more components
+    // than k), connectivity wins.
+    for _ in 0..2 {
+        let connected = enforce_connectivity(adj, &result)?;
+        if connected.k() == result.k() {
+            break;
         }
-        result = enforce_connectivity(adj, &result)?;
+        result = connected;
+        if result.k() > k {
+            result = refine_to_k(adj, &result, k, kind, cfg, log)?;
+        }
     }
+    result = enforce_connectivity(adj, &result)?;
     let artifacts = SpectralArtifacts {
         eigenvectors: y,
         centroids: km.centers,
@@ -257,32 +197,26 @@ pub fn spectral_partition_warm_ws(
     Ok((result, artifacts))
 }
 
-/// Applies the configured refinement strategy to move from k′ to k.
+/// Moves from k′ fine partitions to exactly k: global recursive
+/// bipartitioning of the condensed partition-connectivity graph for
+/// k′ > k, largest-first splitting for k′ < k.
 fn refine_to_k(
     adj: &CsrMatrix,
     fine: &Partition,
     k: usize,
     kind: CutKind,
     cfg: &SpectralConfig,
+    log: &mut RecoveryLog,
 ) -> Result<Partition> {
     use std::cmp::Ordering;
-    let kp = fine.k();
-    match kp.cmp(&k) {
+    match fine.k().cmp(&k) {
         Ordering::Equal => Ok(fine.clone()),
-        Ordering::Less => split_to_k(adj, fine, k, kind, &cfg.eigen, &cfg.kmeans),
-        Ordering::Greater => match cfg.refine {
-            RefineStrategy::AcceptNatural => Ok(fine.clone()),
-            RefineStrategy::RecursiveBipartition => {
-                let conn = partition_connectivity(adj, &fine.groups())?;
-                let meta = recursive_bipartition(&conn, k, kind, &cfg.eigen, &cfg.kmeans)?;
-                Ok(fine.compose(&meta))
-            }
-            RefineStrategy::GreedyMerge => {
-                let conn = partition_connectivity(adj, &fine.groups())?;
-                let meta = crate::refine::greedy_merge(&conn, k)?;
-                Ok(fine.compose(&meta))
-            }
-        },
+        Ordering::Less => split_to_k(adj, fine, k, kind, &cfg.eigen, &cfg.kmeans, log),
+        Ordering::Greater => {
+            let conn = partition_connectivity(adj, &fine.groups())?;
+            let meta = recursive_bipartition(&conn, k, kind, &cfg.eigen, &cfg.kmeans, log)?;
+            Ok(fine.compose(&meta))
+        }
     }
 }
 
@@ -295,6 +229,16 @@ fn enforce_connectivity(adj: &CsrMatrix, p: &Partition) -> Result<Partition> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One cold partition with a fresh log and workspace.
+    fn partition(
+        adj: &CsrMatrix,
+        k: usize,
+        kind: CutKind,
+        cfg: &SpectralConfig,
+    ) -> Result<Partition> {
+        spectral_partition_recovering(adj, k, kind, cfg, &mut RecoveryLog::new())
+    }
 
     /// Chain of `c` cliques of size `s`, bridged weakly.
     fn clique_chain(c: usize, s: usize) -> CsrMatrix {
@@ -317,7 +261,7 @@ mod tests {
     fn recovers_planted_partitions_both_kinds() {
         let adj = clique_chain(3, 5);
         for kind in [CutKind::Alpha, CutKind::Normalized] {
-            let p = spectral_partition(&adj, 3, kind, &SpectralConfig::default()).unwrap();
+            let p = partition(&adj, 3, kind, &SpectralConfig::default()).unwrap();
             assert_eq!(p.k(), 3, "{kind:?}");
             for c in 0..3 {
                 let l = p.label(c * 5);
@@ -332,8 +276,7 @@ mod tests {
     fn partitions_are_connected() {
         let adj = clique_chain(4, 4);
         for k in 2..=5 {
-            let p =
-                spectral_partition(&adj, k, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+            let p = partition(&adj, k, CutKind::Alpha, &SpectralConfig::default()).unwrap();
             // Every partition must be internally connected (C.2).
             let comp = constrained_components(&adj, Some(p.labels())).unwrap();
             let recount = Partition::from_labels(&comp);
@@ -344,16 +287,16 @@ mod tests {
     #[test]
     fn k_bounds() {
         let adj = clique_chain(2, 3);
-        assert!(spectral_partition(&adj, 0, CutKind::Alpha, &SpectralConfig::default()).is_err());
-        assert!(spectral_partition(&adj, 7, CutKind::Alpha, &SpectralConfig::default()).is_err());
-        let p = spectral_partition(&adj, 6, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        assert!(partition(&adj, 0, CutKind::Alpha, &SpectralConfig::default()).is_err());
+        assert!(partition(&adj, 7, CutKind::Alpha, &SpectralConfig::default()).is_err());
+        let p = partition(&adj, 6, CutKind::Alpha, &SpectralConfig::default()).unwrap();
         assert_eq!(p.k(), 6); // k == n: singletons
     }
 
     #[test]
     fn k1_on_connected_graph() {
         let adj = clique_chain(2, 3);
-        let p = spectral_partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        let p = partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
         assert_eq!(p.k(), 1);
     }
 
@@ -367,7 +310,7 @@ mod tests {
             edges.push((b, b + 2, 1.0));
         }
         let adj = CsrMatrix::from_undirected_edges(6, &edges).unwrap();
-        let p = spectral_partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        let p = partition(&adj, 1, CutKind::Alpha, &SpectralConfig::default()).unwrap();
         assert_eq!(
             p.k(),
             2,
@@ -376,33 +319,11 @@ mod tests {
     }
 
     #[test]
-    fn greedy_merge_strategy_also_reaches_k() {
-        let adj = clique_chain(4, 4);
-        let cfg = SpectralConfig {
-            refine: RefineStrategy::GreedyMerge,
-            ..SpectralConfig::default()
-        };
-        let p = spectral_partition(&adj, 2, CutKind::Alpha, &cfg).unwrap();
-        assert_eq!(p.k(), 2);
-    }
-
-    #[test]
-    fn accept_natural_keeps_k_prime() {
-        let adj = clique_chain(4, 4);
-        let cfg = SpectralConfig {
-            refine: RefineStrategy::AcceptNatural,
-            ..SpectralConfig::default()
-        };
-        let p = spectral_partition(&adj, 2, CutKind::Alpha, &cfg).unwrap();
-        assert!(p.k() >= 2);
-    }
-
-    #[test]
     fn deterministic_given_seed() {
         let adj = clique_chain(3, 4);
         let cfg = SpectralConfig::default().with_seed(7);
-        let a = spectral_partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
-        let b = spectral_partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
+        let a = partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
+        let b = partition(&adj, 3, CutKind::Alpha, &cfg).unwrap();
         assert_eq!(a.labels(), b.labels());
     }
 
@@ -415,15 +336,24 @@ mod tests {
         cfg.eigen.dense_cutoff = 4;
 
         let mut log = RecoveryLog::new();
+        let mut ws = Workspace::new();
         let (cold, artifacts) =
-            spectral_partition_warm(&adj, 3, CutKind::Alpha, &cfg, None, &mut log).unwrap();
+            spectral_partition_warm_ws(&adj, 3, CutKind::Alpha, &cfg, None, &mut log, &mut ws)
+                .unwrap();
         assert_eq!(artifacts.eigenvectors.rows(), adj.dim());
         assert_eq!(artifacts.eigenvectors.cols(), 3);
         assert_eq!(artifacts.centroids.rows(), 3);
 
-        let (warm, next) =
-            spectral_partition_warm(&adj, 3, CutKind::Alpha, &cfg, Some(&artifacts), &mut log)
-                .unwrap();
+        let (warm, next) = spectral_partition_warm_ws(
+            &adj,
+            3,
+            CutKind::Alpha,
+            &cfg,
+            Some(&artifacts),
+            &mut log,
+            &mut ws,
+        )
+        .unwrap();
         assert_eq!(warm.labels(), cold.labels(), "same graph -> same result");
         assert_eq!(next.eigenvectors.rows(), adj.dim());
     }
@@ -438,20 +368,68 @@ mod tests {
             centroids: roadpart_linalg::DenseMatrix::zeros(5, 9),
         };
         let mut log = RecoveryLog::new();
-        let (p, _) =
-            spectral_partition_warm(&adj, 3, CutKind::Alpha, &cfg, Some(&stale), &mut log).unwrap();
+        let mut ws = Workspace::new();
+        let (p, _) = spectral_partition_warm_ws(
+            &adj,
+            3,
+            CutKind::Alpha,
+            &cfg,
+            Some(&stale),
+            &mut log,
+            &mut ws,
+        )
+        .unwrap();
         assert_eq!(p.k(), 3);
-        let mut log2 = RecoveryLog::new();
-        let (p2, _) = spectral_partition_warm(
+        let (p2, _) = spectral_partition_warm_ws(
             &adj,
             3,
             CutKind::Alpha,
             &cfg,
             Some(&SpectralArtifacts::empty()),
-            &mut log2,
+            &mut log,
+            &mut ws,
         )
         .unwrap();
         assert_eq!(p2.labels(), p.labels());
+    }
+
+    /// Five cliques at k = 4: eigenspace k-means leaves k′ = 5 connected
+    /// fine partitions, so recursive bipartitioning splits the 5-node
+    /// condensed graph into 4 groups. The splits of groups with at least 3
+    /// nodes eigensolve (a 2-node split needs no solve): two of them.
+    fn refined_case() -> (CsrMatrix, SpectralConfig) {
+        let mut cfg = SpectralConfig::default();
+        // Force Lanczos so every solve runs the iterative path.
+        cfg.eigen.dense_cutoff = 2;
+        (clique_chain(5, 4), cfg)
+    }
+
+    #[test]
+    fn refine_bipartitions_are_on_record() {
+        let (adj, cfg) = refined_case();
+        let mut log = RecoveryLog::new();
+        let p = spectral_partition_recovering(&adj, 4, CutKind::Alpha, &cfg, &mut log).unwrap();
+        assert_eq!(p.k(), 4);
+        // One clean baseline event per eigensolve: the main embedding plus
+        // the two bipartitions.
+        assert_eq!(log.events.len(), 3, "{:?}", log.events);
+        assert!(log.is_clean(), "{:?}", log.events);
+    }
+
+    #[test]
+    fn shared_workspace_matches_fresh_workspace() {
+        let (adj, cfg) = refined_case();
+        let run = |ws: &mut Workspace| {
+            let mut log = RecoveryLog::new();
+            spectral_partition_warm_ws(&adj, 4, CutKind::Alpha, &cfg, None, &mut log, ws)
+                .unwrap()
+                .0
+        };
+        let fresh = run(&mut Workspace::new());
+        let mut ws = Workspace::new();
+        for i in 0..3 {
+            assert_eq!(run(&mut ws).labels(), fresh.labels(), "run {i}");
+        }
     }
 
     #[test]
@@ -471,5 +449,83 @@ mod tests {
                 assert_eq!(p.label(c * 5 + i), l);
             }
         }
+    }
+
+    #[test]
+    fn alpha_cut_on_weighted_communities() {
+        // Two dense communities with different internal densities.
+        let mut edges = Vec::new();
+        for i in 0..5usize {
+            for j in (i + 1)..5 {
+                edges.push((i, j, 2.0));
+                edges.push((5 + i, 5 + j, 1.0));
+            }
+        }
+        edges.push((4, 5, 0.05));
+        let adj = CsrMatrix::from_undirected_edges(10, &edges).unwrap();
+        let p = partition(&adj, 2, CutKind::Alpha, &SpectralConfig::default()).unwrap();
+        assert_eq!(p.k(), 2);
+        assert_ne!(p.label(0), p.label(9));
+        for i in 1..5 {
+            assert_eq!(p.label(i), p.label(0));
+        }
+    }
+
+    #[test]
+    fn splits_barbell() {
+        // Two cliques of 5 joined by a single unit link.
+        let mut edges = Vec::new();
+        for b in [0usize, 5] {
+            for i in 0..5 {
+                for j in (i + 1)..5 {
+                    edges.push((b + i, b + j, 1.0));
+                }
+            }
+        }
+        edges.push((4, 5, 1.0));
+        let adj = CsrMatrix::from_undirected_edges(10, &edges).unwrap();
+        let p = partition(&adj, 2, CutKind::Normalized, &SpectralConfig::default()).unwrap();
+        assert_eq!(p.k(), 2);
+        for i in 0..5 {
+            assert_eq!(p.label(i), p.label(0));
+            assert_eq!(p.label(5 + i), p.label(5));
+        }
+        assert_ne!(p.label(0), p.label(5));
+    }
+
+    #[test]
+    fn handles_isolated_nodes() {
+        // Triangle plus two isolated nodes.
+        let adj =
+            CsrMatrix::from_undirected_edges(5, &[(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]).unwrap();
+        let p = partition(&adj, 3, CutKind::Normalized, &SpectralConfig::default()).unwrap();
+        // Isolated nodes form singleton partitions; the triangle stays whole
+        // or splits, but everything stays internally connected.
+        assert!(p.k() >= 3);
+        assert_ne!(p.label(3), p.label(4));
+        assert_ne!(p.label(3), p.label(0));
+    }
+
+    #[test]
+    fn unbalanced_communities() {
+        // A big community (8) and a small one (3).
+        let mut edges = Vec::new();
+        for i in 0..8usize {
+            for j in (i + 1)..8 {
+                edges.push((i, j, 1.0));
+            }
+        }
+        for i in 8..11usize {
+            for j in (i + 1)..11 {
+                edges.push((i, j, 1.0));
+            }
+        }
+        edges.push((7, 8, 0.1));
+        let adj = CsrMatrix::from_undirected_edges(11, &edges).unwrap();
+        let p = partition(&adj, 2, CutKind::Normalized, &SpectralConfig::default()).unwrap();
+        let sizes = p.sizes();
+        assert_eq!(p.k(), 2);
+        assert_eq!(sizes.iter().max(), Some(&8));
+        assert_eq!(sizes.iter().min(), Some(&3));
     }
 }

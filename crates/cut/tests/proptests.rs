@@ -1,8 +1,8 @@
 //! Property-based tests for the graph-cut layer.
 
 use proptest::prelude::*;
-use roadpart_cut::{gaussian_affinity, greedy_merge, partition_connectivity, Partition};
-use roadpart_linalg::CsrMatrix;
+use roadpart_cut::{gaussian_affinity_par, partition_connectivity, Partition};
+use roadpart_linalg::{CsrMatrix, ThreadPool};
 
 fn arb_graph() -> impl Strategy<Value = (CsrMatrix, Vec<f64>)> {
     (4usize..24).prop_flat_map(|n| {
@@ -46,7 +46,7 @@ proptest! {
     /// weights.
     #[test]
     fn affinity_structure((adj, feats) in arb_graph()) {
-        let a = gaussian_affinity(&adj, &feats).unwrap();
+        let a = gaussian_affinity_par(&adj, &feats, &ThreadPool::serial()).unwrap();
         prop_assert_eq!(a.nnz(), adj.nnz(), "pattern must be preserved");
         prop_assert!(a.is_symmetric(1e-12));
         for (i, j, w) in a.iter() {
@@ -77,18 +77,6 @@ proptest! {
                 prop_assert_eq!(conn.get(gi, gj) > 0.0, crossing);
             }
         }
-    }
-
-    /// Greedy merging never merges past k and never splits.
-    #[test]
-    fn greedy_merge_bounds((adj, _) in arb_graph(), seed in proptest::collection::vec(0usize..5, 24), k in 1usize..4) {
-        let labels: Vec<usize> = (0..adj.dim()).map(|i| seed[i]).collect();
-        let p = Partition::from_labels(&labels);
-        let conn = partition_connectivity(&adj, &p.groups()).unwrap();
-        let meta = greedy_merge(&conn, k).unwrap();
-        prop_assert!(meta.k() >= k.min(p.k()));
-        prop_assert!(meta.k() <= p.k());
-        prop_assert_eq!(meta.len(), p.k());
     }
 }
 

@@ -193,40 +193,6 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// `y = A x` computed with row chunks distributed over `pool`.
-    ///
-    /// Each `y[i]` is produced by the same sequential per-row accumulation
-    /// as [`CsrMatrix::matvec`], so the result is bit-identical to the
-    /// serial product at every pool size.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn par_matvec(
-        &self,
-        pool: &crate::par::ThreadPool,
-        x: &[f64],
-        y: &mut [f64],
-    ) -> Result<()> {
-        if x.len() != self.n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.n,
-                found: x.len(),
-                context: "CsrMatrix::par_matvec input",
-            });
-        }
-        if y.len() != self.n {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.n,
-                found: y.len(),
-                context: "CsrMatrix::par_matvec output",
-            });
-        }
-        pool.for_each_chunk_mut(y, crate::par::DEFAULT_CHUNK, |r, yc| {
-            self.rows_into(r.start, x, yc);
-        });
-        Ok(())
-    }
-
     /// Computes rows `row0 .. row0 + out.len()` of `A x` into `out`.
     /// Shapes are the caller's responsibility.
     ///
@@ -275,40 +241,17 @@ impl CsrMatrix {
     }
 
     /// Builds a new matrix with the same sparsity pattern whose entry
-    /// `(i, j)` holds `f(i, j, value)`. Entries mapped to exactly `0.0` are
-    /// dropped, so the result is identical to re-running
-    /// [`CsrMatrix::from_triplets`] on the mapped triplets — without the
-    /// bucket sort, per-row sort, and duplicate merge that path pays.
+    /// `(i, j)` holds `f(i, j, value)`, evaluated over `pool` in fixed row
+    /// chunks. Entries mapped to exactly `0.0` are dropped, so the result is
+    /// identical to re-running [`CsrMatrix::from_triplets`] on the mapped
+    /// triplets — without the bucket sort, per-row sort, and duplicate
+    /// merge that path pays. `f` runs once per stored entry in a
+    /// deterministic slot, so the result is bit-identical at every pool
+    /// size.
     ///
     /// This is the fast construction path for pattern-preserving
     /// transforms such as the Gaussian affinity kernel, which reweights a
     /// graph adjacency without changing which edges exist.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::InvalidInput`] if `f` produces a non-finite
-    /// value.
-    pub fn map_entries<F>(&self, f: F) -> Result<CsrMatrix>
-    where
-        F: Fn(usize, usize, f64) -> f64,
-    {
-        let mut mapped = vec![0.0f64; self.values.len()];
-        for i in 0..self.n {
-            let (lo, hi) = (self.row_ptr[i], self.row_ptr[i + 1]);
-            for ((m, &c), &v) in mapped[lo..hi]
-                .iter_mut()
-                .zip(&self.col_idx[lo..hi])
-                .zip(&self.values[lo..hi])
-            {
-                *m = f(i, c, v);
-            }
-        }
-        self.rebuild_mapped(&mapped)
-    }
-
-    /// [`CsrMatrix::map_entries`] with the per-entry evaluation distributed
-    /// over `pool` in fixed row chunks. `f` runs once per stored entry in a
-    /// deterministic slot, so the result is bit-identical to the serial
-    /// map at every pool size.
     ///
     /// # Errors
     /// Returns [`LinalgError::InvalidInput`] if `f` produces a non-finite
@@ -695,14 +638,15 @@ mod tests {
         )
         .unwrap();
         let f = |i: usize, j: usize, v: f64| (v * 0.7) + (i as f64) - (j as f64) * 0.01;
-        let mapped = m.map_entries(f).unwrap();
+        let serial = crate::par::ThreadPool::serial();
+        let mapped = m.map_entries_par(&serial, f).unwrap();
         let triplets: Vec<_> = m.iter().map(|(i, j, v)| (i, j, f(i, j, v))).collect();
         let reference = CsrMatrix::from_triplets(4, &triplets).unwrap();
         assert_eq!(mapped, reference);
 
         // Entries mapped to zero are dropped, matching from_triplets.
         let zeroed = m
-            .map_entries(|i, j, v| if i == 0 && j == 1 { 0.0 } else { v })
+            .map_entries_par(&serial, |i, j, v| if i == 0 && j == 1 { 0.0 } else { v })
             .unwrap();
         assert_eq!(zeroed.nnz(), m.nnz() - 1);
         assert_eq!(zeroed.get(0, 1), 0.0);
@@ -716,8 +660,10 @@ mod tests {
             .collect();
         let m = CsrMatrix::from_undirected_edges(300, &edges).unwrap();
         let f = |i: usize, j: usize, v: f64| (-(v * v) / (2.0 + (i + j) as f64)).exp();
-        let serial = m.map_entries(f).unwrap();
-        for threads in [1, 2, 4] {
+        let serial = m
+            .map_entries_par(&crate::par::ThreadPool::serial(), f)
+            .unwrap();
+        for threads in [2, 4] {
             let pool = crate::par::ThreadPool::new(threads);
             let par = m.map_entries_par(&pool, f).unwrap();
             assert_eq!(par, serial, "threads {threads}");
@@ -727,7 +673,8 @@ mod tests {
     #[test]
     fn map_entries_rejects_non_finite() {
         let m = path3();
-        assert!(m.map_entries(|_, _, _| f64::NAN).is_err());
+        let pool = crate::par::ThreadPool::serial();
+        assert!(m.map_entries_par(&pool, |_, _, _| f64::NAN).is_err());
     }
 
     #[test]

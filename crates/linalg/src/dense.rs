@@ -140,42 +140,6 @@ impl DenseMatrix {
         Ok(())
     }
 
-    /// Matrix–vector product with row chunks distributed over `pool`.
-    ///
-    /// Each `y[i]` is the same full-row dot product as
-    /// [`DenseMatrix::matvec`] computes, so the result is bit-identical to
-    /// the serial product at every pool size.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    pub fn par_matvec(
-        &self,
-        pool: &crate::par::ThreadPool,
-        x: &[f64],
-        y: &mut [f64],
-    ) -> Result<()> {
-        if x.len() != self.cols {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.cols,
-                found: x.len(),
-                context: "DenseMatrix::par_matvec input",
-            });
-        }
-        if y.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.rows,
-                found: y.len(),
-                context: "DenseMatrix::par_matvec output",
-            });
-        }
-        pool.for_each_chunk_mut(y, crate::par::DEFAULT_CHUNK, |r, yc| {
-            for (yi, i) in yc.iter_mut().zip(r) {
-                *yi = crate::vecops::dot(self.row(i), x);
-            }
-        });
-        Ok(())
-    }
-
     /// Returns the transpose as a new matrix.
     pub fn transpose(&self) -> Self {
         Self::from_fn(self.cols, self.rows, |i, j| self.get(j, i))

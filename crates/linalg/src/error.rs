@@ -58,6 +58,23 @@ impl fmt::Display for LinalgError {
     }
 }
 
+impl LinalgError {
+    /// True for numerical failures that another attempt — a relaxed
+    /// configuration or a rotated seed — can plausibly fix
+    /// (`NotConverged`, `NonFinite`). Structural errors (shape mismatches,
+    /// invalid input) fail the same way on every retry.
+    ///
+    /// This is the one retry predicate of the workspace: the fallback
+    /// ladder climbs on it, and the batch supervisor and the stream engine
+    /// retry exactly the errors whose root cause satisfies it.
+    pub fn is_retryable(&self) -> bool {
+        matches!(
+            self,
+            LinalgError::NotConverged { .. } | LinalgError::NonFinite { .. }
+        )
+    }
+}
+
 impl std::error::Error for LinalgError {}
 
 /// Convenience alias used throughout the crate.

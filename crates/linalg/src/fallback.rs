@@ -1,23 +1,24 @@
-//! Solver fallback ladder: a recovering wrapper around [`sym_eigs`].
+//! Solver fallback ladder: the crate's eigensolve entry point.
 //!
 //! Lanczos can legitimately fail to converge — tight tolerances on badly
 //! conditioned α-Cut matrices, unlucky starting vectors, or operator entries
 //! poisoned by bad input data. Rather than abort the whole partitioning
-//! pipeline, [`sym_eigs_recovering`] climbs a ladder of progressively more
-//! forgiving solver configurations:
+//! pipeline, [`sym_eigs_recovering_ws`] climbs a ladder of progressively
+//! more forgiving solver configurations:
 //!
 //! 1. **Baseline** — the caller's [`EigenConfig`] as-is;
-//! 2. **RelaxedTolerance** — the convergence tolerance multiplied by
-//!    [`FallbackConfig::tol_relax`] and the restart budget multiplied by
-//!    [`FallbackConfig::restart_boost`];
+//! 2. **RelaxedTolerance** — the convergence tolerance multiplied by 100
+//!    and the restart budget by 2, under full reorthogonalization;
 //! 3. **PerturbedSeed** — the relaxed configuration with a decorrelated
 //!    starting-vector seed, escaping pathological Krylov starts;
-//! 4. **Dense** — exact dense [`eigh`] on the densified operator, attempted
-//!    when the dimension is at most [`FallbackConfig::dense_threshold`] or
-//!    when [`FallbackConfig::always_dense_last_resort`] is set.
+//! 4. **Dense** — exact dense [`eigh`](crate::eigh) on the densified
+//!    operator, attempted only up to dimension 4,096: beyond it the n×n
+//!    matrix and the O(n³) tridiagonalization are unaffordable, and the
+//!    ladder returns the last numerical error instead (the batch supervisor
+//!    and the stream engine retry that error with a rotated seed).
 //!
-//! Only *numerical* failures ([`LinalgError::NotConverged`] and
-//! [`LinalgError::NonFinite`]) trigger the next rung; structural errors
+//! Only errors for which [`LinalgError::is_retryable`] holds
+//! (`NotConverged`, `NonFinite`) trigger the next rung; structural errors
 //! (dimension mismatches, invalid input) propagate immediately because no
 //! amount of retrying fixes a malformed operand.
 //!
@@ -28,13 +29,21 @@
 //! integration tests drive the ladder deterministically without rigging the
 //! numerics.
 
-use crate::dense::DenseMatrix;
-use crate::eigen_dense::eigh;
 use crate::error::{LinalgError, Result};
-use crate::lanczos::{densify_with, sym_eigs_ws, EigenConfig, PartialEigen, ReorthPolicy, Which};
+use crate::lanczos::{dense_solve, sym_eigs_ws, EigenConfig, PartialEigen, ReorthPolicy, Which};
 use crate::operator::SymOp;
 use crate::workspace::Workspace;
 use serde::{Deserialize, Serialize};
+
+/// Multiplier applied to the tolerance on the relaxed rungs.
+const TOL_RELAX: f64 = 100.0;
+/// Multiplier applied to the restart budget on the relaxed rungs.
+const RESTART_BOOST: usize = 2;
+/// XOR mask applied to the seed on the perturbed rung.
+const SEED_PERTURBATION: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Largest operator dimension the dense rung densifies (a 4,096² matrix is
+/// 128 MiB; the cost grows quadratically in memory and cubically in time).
+const DENSE_RUNG_MAX_DIM: usize = 4096;
 
 /// Names one rung of the fallback ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -61,37 +70,12 @@ impl FallbackRung {
     }
 }
 
-/// Ladder policy knobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Ladder settings a caller can vary.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FallbackConfig {
-    /// Multiplier applied to `tol` on the relaxed rungs. Default: 100.
-    pub tol_relax: f64,
-    /// Multiplier applied to `max_restarts` on the relaxed rungs. Default: 2.
-    pub restart_boost: usize,
-    /// XOR mask applied to the seed on the perturbed rung.
-    pub seed_perturbation: u64,
-    /// Dimension bound under which the dense rung is always attempted.
-    /// Default: 4096.
-    pub dense_threshold: usize,
-    /// Attempt the dense rung even above `dense_threshold` when everything
-    /// else failed. Default: true.
-    pub always_dense_last_resort: bool,
     /// Fault injection: force the first N solver attempts to fail with
     /// `NotConverged` before any real work happens. Default: 0.
     pub inject_failures: usize,
-}
-
-impl Default for FallbackConfig {
-    fn default() -> Self {
-        Self {
-            tol_relax: 100.0,
-            restart_boost: 2,
-            seed_perturbation: 0x9e37_79b9_7f4a_7c15,
-            dense_threshold: 4096,
-            always_dense_last_resort: true,
-            inject_failures: 0,
-        }
-    }
 }
 
 /// One solver attempt and its outcome.
@@ -145,14 +129,11 @@ impl RecoveryLog {
     }
 }
 
-/// [`sym_eigs`] with the fallback ladder described in the module docs.
-///
-/// On success the returned decomposition is exactly what [`sym_eigs`] (or
-/// the dense rung) produced; `log` gains one event per attempt.
+/// [`sym_eigs_recovering_ws`] with a throwaway workspace, for one-shot
+/// callers.
 ///
 /// # Errors
-/// Propagates structural errors immediately, and returns the *last* rung's
-/// numerical error when the whole ladder is exhausted.
+/// Same contract as [`sym_eigs_recovering_ws`].
 pub fn sym_eigs_recovering(
     op: &impl SymOp,
     nev: usize,
@@ -165,11 +146,19 @@ pub fn sym_eigs_recovering(
     sym_eigs_recovering_ws(op, nev, which, cfg, fallback, log, &mut ws)
 }
 
-/// [`sym_eigs_recovering`] drawing scratch buffers from `ws`, so repeated
-/// solves (one per repartitioning epoch) reuse the pool across calls.
+/// Computes `nev` extremal eigenpairs of a symmetric operator behind the
+/// fallback ladder described in the module docs, drawing scratch buffers
+/// from `ws` so repeated solves (one per repartitioning epoch) reuse the
+/// pool across calls.
+///
+/// Small operators (`dim <= cfg.dense_cutoff`) are solved exactly; larger
+/// ones go through deflated-restart Lanczos. On success the returned
+/// decomposition is exactly what the accepted rung produced; `log` gains
+/// one event per attempt.
 ///
 /// # Errors
-/// Same contract as [`sym_eigs_recovering`].
+/// Propagates structural errors immediately, and returns the *last* rung's
+/// numerical error when the whole ladder is exhausted.
 #[allow(clippy::too_many_arguments)]
 pub fn sym_eigs_recovering_ws(
     op: &impl SymOp,
@@ -189,8 +178,8 @@ pub fn sym_eigs_recovering_ws(
         FallbackRung::PerturbedSeed,
         FallbackRung::Dense,
     ] {
-        if rung == FallbackRung::Dense && !dense_rung_allowed(op.dim(), fallback) {
-            continue;
+        if rung == FallbackRung::Dense && op.dim() > DENSE_RUNG_MAX_DIM {
+            break;
         }
         let attempt = if injections_left > 0 {
             injections_left -= 1;
@@ -199,14 +188,14 @@ pub fn sym_eigs_recovering_ws(
                 context: "fault injection (forced failure)",
             })
         } else {
-            run_rung(op, nev, which, cfg, fallback, rung, ws)
+            run_rung(op, nev, which, cfg, rung, ws)
         };
         match attempt {
             Ok(dec) => {
                 log.record(rung, true, "");
                 return Ok(dec);
             }
-            Err(err) if is_recoverable(&err) => {
+            Err(err) if err.is_retryable() => {
                 log.record(rung, false, err.to_string());
                 last_err = Some(err);
             }
@@ -224,80 +213,35 @@ pub fn sym_eigs_recovering_ws(
     }))
 }
 
-/// Whether an error class is worth retrying with a different configuration.
-fn is_recoverable(err: &LinalgError) -> bool {
-    matches!(
-        err,
-        LinalgError::NotConverged { .. } | LinalgError::NonFinite { .. }
-    )
-}
-
-fn dense_rung_allowed(n: usize, fallback: &FallbackConfig) -> bool {
-    n <= fallback.dense_threshold || fallback.always_dense_last_resort
-}
-
 fn run_rung(
     op: &impl SymOp,
     nev: usize,
     which: Which,
     cfg: &EigenConfig,
-    fallback: &FallbackConfig,
     rung: FallbackRung,
     ws: &mut Workspace,
 ) -> Result<PartialEigen> {
     match rung {
         FallbackRung::Baseline => sym_eigs_ws(op, nev, which, cfg, ws),
-        FallbackRung::RelaxedTolerance => sym_eigs_ws(op, nev, which, &relaxed(cfg, fallback), ws),
+        FallbackRung::RelaxedTolerance => sym_eigs_ws(op, nev, which, &relaxed(cfg), ws),
         FallbackRung::PerturbedSeed => {
-            let mut c = relaxed(cfg, fallback);
-            c.seed ^= fallback.seed_perturbation;
+            let mut c = relaxed(cfg);
+            c.seed ^= SEED_PERTURBATION;
             sym_eigs_ws(op, nev, which, &c, ws)
         }
         FallbackRung::Dense => dense_solve(op, nev, which, &cfg.pool),
     }
 }
 
-fn relaxed(cfg: &EigenConfig, fallback: &FallbackConfig) -> EigenConfig {
+fn relaxed(cfg: &EigenConfig) -> EigenConfig {
     let mut c = cfg.clone();
-    c.tol *= fallback.tol_relax;
-    c.max_restarts = c.max_restarts.saturating_mul(fallback.restart_boost.max(1));
+    c.tol *= TOL_RELAX;
+    c.max_restarts = c.max_restarts.saturating_mul(RESTART_BOOST);
     // If the baseline attempt failed under selective reorthogonalization,
     // retry with the unconditional sweep: it is slower but numerically the
     // most robust rung of the ladder.
     c.reorth = ReorthPolicy::Full;
     c
-}
-
-/// The dense rung: densify and solve exactly, then slice the wanted end.
-fn dense_solve(
-    op: &impl SymOp,
-    nev: usize,
-    which: Which,
-    pool: &crate::par::ThreadPool,
-) -> Result<PartialEigen> {
-    let n = op.dim();
-    if nev > n {
-        return Err(LinalgError::InvalidInput(format!(
-            "requested {nev} eigenpairs of a dimension-{n} operator"
-        )));
-    }
-    let dec = eigh(&densify_with(op, pool))?;
-    if dec.values.iter().any(|v| !v.is_finite()) {
-        return Err(LinalgError::NonFinite {
-            context: "dense fallback eigendecomposition",
-        });
-    }
-    let idx: Vec<usize> = match which {
-        Which::Smallest => (0..nev).collect(),
-        Which::Largest => (n - nev..n).collect(),
-    };
-    let values: Vec<f64> = idx.iter().map(|&i| dec.values[i]).collect();
-    let vectors = DenseMatrix::from_fn(n, nev, |r, c| dec.vectors.get(r, idx[c]));
-    Ok(PartialEigen {
-        values,
-        vectors,
-        iterations: 0,
-    })
 }
 
 #[cfg(test)]
@@ -337,10 +281,7 @@ mod tests {
     #[test]
     fn injected_failures_climb_the_ladder() {
         let a = ring_laplacian(40);
-        let fb = FallbackConfig {
-            inject_failures: 2,
-            ..FallbackConfig::default()
-        };
+        let fb = FallbackConfig { inject_failures: 2 };
         let mut log = RecoveryLog::new();
         let dec = sym_eigs_recovering(
             &a,
@@ -371,10 +312,7 @@ mod tests {
     #[test]
     fn full_injection_lands_on_dense_rung() {
         let a = ring_laplacian(30);
-        let fb = FallbackConfig {
-            inject_failures: 3,
-            ..FallbackConfig::default()
-        };
+        let fb = FallbackConfig { inject_failures: 3 };
         let mut log = RecoveryLog::new();
         let dec = sym_eigs_recovering(
             &a,
@@ -393,10 +331,7 @@ mod tests {
     #[test]
     fn exhausted_ladder_returns_last_numerical_error() {
         let a = ring_laplacian(30);
-        let fb = FallbackConfig {
-            inject_failures: 4,
-            ..FallbackConfig::default()
-        };
+        let fb = FallbackConfig { inject_failures: 4 };
         let mut log = RecoveryLog::new();
         let err = sym_eigs_recovering(
             &a,
@@ -432,15 +367,12 @@ mod tests {
 
     #[test]
     fn dense_rung_gating() {
-        let fb = FallbackConfig {
-            dense_threshold: 8,
-            always_dense_last_resort: false,
-            inject_failures: 4,
-            ..FallbackConfig::default()
-        };
-        let a = ring_laplacian(30);
+        // Above the dense cap the ladder has three rungs: with all three
+        // forced to fail it returns the last error instead of densifying a
+        // 5,000 x 5,000 operator.
+        let fb = FallbackConfig { inject_failures: 3 };
+        let a = ring_laplacian(5_000);
         let mut log = RecoveryLog::new();
-        // Dense is gated off (30 > 8, no last resort): ladder has 3 rungs.
         let err = sym_eigs_recovering(
             &a,
             2,
@@ -452,6 +384,7 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, LinalgError::NotConverged { .. }));
         assert_eq!(log.events.len(), 3);
+        assert!(log.events.iter().all(|e| e.rung != FallbackRung::Dense));
     }
 
     #[test]

@@ -20,11 +20,14 @@
 //!   matrix families above;
 //! * [`eigen_dense::eigh`] — Householder tridiagonalization + implicit-shift
 //!   QL (the EISPACK `tred2`/`tql2` pair), exact for small/medium matrices;
-//! * [`lanczos::sym_eigs`] — matrix-free Lanczos with ω-monitored selective
-//!   reorthogonalization for large instances, with automatic fallback to the
-//!   dense path below a configurable cutoff;
-//! * [`workspace::Workspace`] — a scratch-buffer pool threaded through the
-//!   solver (`sym_eigs_ws` and friends) so warm solves run allocation-free;
+//! * [`lanczos`] — matrix-free Lanczos with ω-monitored selective
+//!   reorthogonalization for large instances, and the exact dense path
+//!   below a configurable cutoff;
+//! * [`fallback::sym_eigs_recovering_ws`] — the one eigensolve entry point:
+//!   Lanczos behind a ladder of more forgiving configurations, every
+//!   attempt recorded in a [`fallback::RecoveryLog`];
+//! * [`workspace::Workspace`] — a scratch-buffer pool the caller threads
+//!   through the solver so warm solves run allocation-free;
 //! * [`par::ThreadPool`] — a std-only chunked scoped-thread pool whose
 //!   fixed chunk boundaries and ordered reductions make every parallel
 //!   kernel bit-identical to its serial counterpart.
@@ -52,9 +55,7 @@ pub use fallback::{
     sym_eigs_recovering, sym_eigs_recovering_ws, FallbackConfig, FallbackRung, RecoveryEvent,
     RecoveryLog,
 };
-pub use lanczos::{
-    densify, densify_with, sym_eigs, sym_eigs_ws, EigenConfig, PartialEigen, ReorthPolicy, Which,
-};
+pub use lanczos::{densify_with, EigenConfig, PartialEigen, ReorthPolicy, Which};
 pub use operator::{DiagScaledOp, RankOneUpdate, SymOp};
 pub use ord::{cmp_f64, max_by_f64_key, min_by_f64_key, sort_by_f64_key, sort_f64};
 pub use par::ThreadPool;

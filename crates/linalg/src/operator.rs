@@ -68,29 +68,6 @@ pub trait SymOp {
         let _ = ws;
         self.apply_par(pool, x, y);
     }
-
-    /// Checked wrapper around [`SymOp::apply_par`].
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] on shape mismatch.
-    fn apply_par_checked(&self, pool: &ThreadPool, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.dim(),
-                found: x.len(),
-                context: "SymOp::apply_par input",
-            });
-        }
-        if y.len() != self.dim() {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.dim(),
-                found: y.len(),
-                context: "SymOp::apply_par output",
-            });
-        }
-        self.apply_par(pool, x, y);
-        Ok(())
-    }
 }
 
 impl SymOp for CsrMatrix {

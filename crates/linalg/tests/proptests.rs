@@ -103,7 +103,7 @@ proptest! {
         let d = a.degrees();
         let s: f64 = d.iter().sum::<f64>().max(1.0);
         let op = RankOneUpdate::new(&a, d.clone(), 1.0 / s, -1.0).unwrap();
-        let dense = roadpart_linalg::densify(&op);
+        let dense = roadpart_linalg::densify_with(&op, &roadpart_linalg::ThreadPool::serial());
         let n = a.dim();
         let mut y1 = vec![0.0; n];
         op.apply(&x, &mut y1);
@@ -338,26 +338,18 @@ proptest! {
         prop_assert!(got.to_bits() == want.to_bits(), "{got} vs {want} at {threads} threads");
     }
 
-    /// `map_entries` equals a from-scratch `from_triplets` rebuild of the
-    /// mapped triplets — structure and bits — and the parallel variant
-    /// equals the serial one at every pool size.
+    /// `map_entries_par` equals a from-scratch `from_triplets` rebuild of
+    /// the mapped triplets — structure and bits — at every pool size.
     #[test]
     fn map_entries_matches_triplet_rebuild((a, _) in arb_sparse(), threads in 1usize..9) {
         use roadpart_linalg::par::ThreadPool;
         let f = |i: usize, j: usize, v: f64| (v * 0.75 + (i as f64 - j as f64) * 1e-3).max(1e-12);
-        let mapped = a.map_entries(f).unwrap();
+        let mapped = a.map_entries_par(&ThreadPool::new(threads), f).unwrap();
         let triplets: Vec<(usize, usize, f64)> =
             a.iter().map(|(i, j, v)| (i, j, f(i, j, v))).collect();
         let rebuilt = CsrMatrix::from_triplets(a.dim(), &triplets).unwrap();
         prop_assert_eq!(mapped.nnz(), rebuilt.nnz());
         for ((ri, ci, wi), (rj, cj, wj)) in mapped.iter().zip(rebuilt.iter()) {
-            prop_assert_eq!((ri, ci), (rj, cj));
-            prop_assert!(wi.to_bits() == wj.to_bits());
-        }
-        let pool = ThreadPool::new(threads);
-        let par = a.map_entries_par(&pool, f).unwrap();
-        prop_assert_eq!(par.nnz(), mapped.nnz());
-        for ((ri, ci, wi), (rj, cj, wj)) in par.iter().zip(mapped.iter()) {
             prop_assert_eq!((ri, ci), (rj, cj));
             prop_assert!(wi.to_bits() == wj.to_bits());
         }

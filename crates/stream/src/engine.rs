@@ -17,8 +17,9 @@
 //!    holding the store handle never block and never see a partial update.
 //!
 //! The epoch loop is *self-healing*: numerical solver failures are retried
-//! with rotated seeds and exponential backoff (the batch supervisor's
-//! machinery, inlined into the epoch), and when the retry budget or the
+//! at once with rotated seeds (the batch supervisor's retry predicate,
+//! [`roadpart::RoadpartError::is_retryable`], and seed rotation,
+//! [`roadpart::rotated_seed`]), and when the retry budget or the
 //! per-epoch deadline ([`ResilienceConfig::epoch_budget_ms`]) is exhausted
 //! the intended action degrades down the ladder Global → Regional → NoOp —
 //! the engine keeps serving the last good snapshot rather than stalling the
@@ -27,7 +28,7 @@
 //!
 //! Warm starts make the expensive path cheap: the previous epoch's
 //! eigenvectors seed the Lanczos iteration and its centroids seed the
-//! eigenspace k-means ([`roadpart_cut::spectral_partition_warm`]), so a
+//! eigenspace k-means ([`roadpart_cut::spectral_partition_warm_ws`]), so a
 //! global rebuild after modest drift converges in a fraction of the cold
 //! iteration count.
 
@@ -42,7 +43,7 @@ use crate::report::EpochReport;
 use crate::snapshot::PartitionStore;
 use roadpart::pipeline::STRICT_INVARIANTS;
 use roadpart::sanitize::{sanitize_densities, SanitizePolicy};
-use roadpart::{error_chain, repartition_regions, DistributedConfig};
+use roadpart::{error_chain, repartition_regions, rotated_seed, DistributedConfig};
 use roadpart_cut::{
     gaussian_affinity_par, spectral_partition_warm_ws, CutKind, Partition, SpectralArtifacts,
     SpectralConfig,
@@ -115,11 +116,6 @@ impl EngineConfig {
         self.regional.framework = self.regional.framework.clone().with_pool(pool);
         self
     }
-
-    /// Convenience for [`EngineConfig::with_pool`] from a thread count.
-    pub fn with_threads(self, threads: usize) -> Self {
-        self.with_pool(roadpart_linalg::ThreadPool::new(threads))
-    }
 }
 
 /// Updates accepted/repaired/dropped since the previous epoch boundary.
@@ -157,7 +153,7 @@ pub struct StreamEngine {
     /// Health reported by the most recent epoch.
     health: HealthState,
     /// Remaining solve attempts to fail with an injected `NotConverged`
-    /// (test hook; see [`ResilienceConfig::inject_epoch_faults`]).
+    /// (test hook; see [`StreamEngine::arm_fault_injection`]).
     injected_faults: usize,
 }
 
@@ -181,7 +177,6 @@ impl StreamEngine {
         cfg.resilience.validate()?;
         let aggregator = DensityAggregator::new(n, cfg.aggregate)?;
         let baseline = graph.features().to_vec();
-        let inject = cfg.resilience.inject_epoch_faults;
         let mut engine = Self {
             cfg,
             graph,
@@ -201,9 +196,6 @@ impl StreamEngine {
         let (partition, _) = engine.global_repartition(&densities)?;
         engine.check_publishable(&partition)?;
         engine.store = Arc::new(PartitionStore::new(partition.labels().to_vec(), 0));
-        // Fault injection arms only after the initial build: the hook
-        // exercises the *epoch* loop's recovery, not construction.
-        engine.injected_faults = inject;
         Ok(engine)
     }
 
@@ -317,11 +309,11 @@ impl StreamEngine {
     ///
     /// The intended action can *degrade* down the ladder Global → Regional
     /// → NoOp: each rung gets `1 + max_retries` attempts (retryable solver
-    /// failures only, with seed rotation and exponential backoff between
-    /// attempts), and a blown epoch budget under [`DeadlineMode::Degrade`]
-    /// skips straight to the next rung. The store is only touched by a
-    /// fully validated partition; on every failure path readers keep the
-    /// last good snapshot.
+    /// failures only, with seed rotation between attempts), and a blown
+    /// epoch budget under [`DeadlineMode::Degrade`] skips straight to the
+    /// next rung. The store is only touched by a fully validated
+    /// partition; on every failure path readers keep the last good
+    /// snapshot.
     ///
     /// # Errors
     /// Returns [`StreamError::InvalidUpdate`] when no densities were ever
@@ -393,13 +385,6 @@ impl StreamEngine {
             }
             let max_attempts = self.cfg.resilience.max_retries + 1;
             for attempt in 0..max_attempts {
-                if attempt > 0 {
-                    let backoff = self.cfg.resilience.backoff_ms(attempt);
-                    resilience.backoff_ms_total += backoff;
-                    if backoff > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(backoff / 1e3));
-                    }
-                }
                 // Deadline gate: checked before the first attempt of each
                 // rung and again before every retry.
                 if let Some(budget) = self.cfg.resilience.epoch_budget_ms {
@@ -436,7 +421,7 @@ impl StreamEngine {
                         break 'ladder;
                     }
                     Err(e) => {
-                        let retryable = is_retryable(&e);
+                        let retryable = e.is_retryable();
                         resilience.attempts.push(EpochAttempt {
                             action: rung,
                             attempt,
@@ -497,13 +482,13 @@ impl StreamEngine {
     }
 
     /// The seed a given rung/attempt pair runs under (attempt 0 is the
-    /// configured seed; retries rotate by the configured stride).
+    /// configured seed; retries rotate it with [`rotated_seed`]).
     fn attempt_seed(&self, rung: EpochAction, attempt: usize) -> u64 {
         let base = match rung {
             EpochAction::Global => self.cfg.spectral.kmeans.seed,
             _ => self.cfg.regional.framework.mining.seed,
         };
-        base.wrapping_add(attempt as u64 * self.cfg.resilience.seed_stride)
+        rotated_seed(base, attempt)
     }
 
     /// Executes one ladder rung once, returning the labels to publish, the
@@ -631,20 +616,6 @@ impl StreamEngine {
         self.artifacts = Some(artifacts);
         Ok((partition, warm_used))
     }
-}
-
-/// True for failures where another attempt (new seed) or a cheaper rung can
-/// plausibly succeed; structural errors propagate immediately — the same
-/// split the batch supervisor makes.
-fn is_retryable(err: &StreamError) -> bool {
-    matches!(
-        err,
-        StreamError::Framework(
-            roadpart::RoadpartError::Linalg(_)
-                | roadpart::RoadpartError::Cut(_)
-                | roadpart::RoadpartError::Cluster(_)
-        )
-    )
 }
 
 #[cfg(test)]

@@ -55,6 +55,17 @@ impl fmt::Display for StreamError {
     }
 }
 
+impl StreamError {
+    /// True when another attempt with a rotated seed, or a cheaper ladder
+    /// rung, can plausibly succeed: a framework failure whose root cause is
+    /// a numerical eigensolver failure
+    /// ([`roadpart::RoadpartError::is_retryable`]). Structural errors
+    /// propagate immediately — the same split the batch supervisor makes.
+    pub fn is_retryable(&self) -> bool {
+        matches!(self, StreamError::Framework(e) if e.is_retryable())
+    }
+}
+
 impl std::error::Error for StreamError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -85,5 +96,61 @@ impl From<roadpart_cluster::ClusterError> for StreamError {
 impl From<roadpart_net::NetError> for StreamError {
     fn from(e: roadpart_net::NetError) -> Self {
         StreamError::Framework(roadpart::RoadpartError::Net(e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use roadpart::RoadpartError;
+    use roadpart_cluster::ClusterError;
+    use roadpart_cut::CutError;
+    use roadpart_linalg::LinalgError;
+
+    /// The one retry predicate, at every layer that wraps it: only a
+    /// numerical eigensolver failure is retryable, wherever it surfaces.
+    #[test]
+    fn one_retry_predicate() {
+        let nc = || LinalgError::NotConverged {
+            iterations: 3,
+            context: "test",
+        };
+        let bad = || "bad".to_string();
+        let mismatch = LinalgError::DimensionMismatch {
+            expected: 2,
+            found: 3,
+            context: "test",
+        };
+        for (e, want) in [
+            (nc(), true),
+            (LinalgError::NonFinite { context: "test" }, true),
+            (LinalgError::InvalidInput(bad()), false),
+            (mismatch, false),
+        ] {
+            assert_eq!(e.is_retryable(), want, "{e:?}");
+        }
+        let bad_k = CutError::BadPartitionCount {
+            requested: 9,
+            nodes: 3,
+        };
+        for (e, want) in [
+            (RoadpartError::Linalg(nc()), true),
+            (RoadpartError::Cut(CutError::Linalg(nc())), true),
+            (
+                RoadpartError::Linalg(LinalgError::InvalidInput(bad())),
+                false,
+            ),
+            (RoadpartError::Cut(bad_k), false),
+            (RoadpartError::Cut(CutError::InvalidInput(bad())), false),
+            (
+                RoadpartError::Cluster(ClusterError::InvalidInput(bad())),
+                false,
+            ),
+            (RoadpartError::InvalidConfig(bad()), false),
+        ] {
+            assert_eq!(e.is_retryable(), want, "{e:?}");
+            let stream = StreamError::Framework(e);
+            assert_eq!(stream.is_retryable(), want, "{stream:?}");
+        }
     }
 }

@@ -6,8 +6,9 @@
 //! supplies the three pieces `engine` composes into that contract:
 //!
 //! * [`ResilienceConfig`] — the per-epoch deadline budget, the bounded
-//!   retry/backoff schedule for solver failures (mirroring the batch
-//!   supervisor's seed-rotation machinery), and the quarantine thresholds;
+//!   retry budget for solver failures (retried with the batch supervisor's
+//!   seed rotation, `roadpart::rotated_seed`), and the quarantine
+//!   thresholds;
 //! * [`QuarantineTracker`] — per-source accounting of clean, repaired, and
 //!   dropped snapshots, quarantining sources that keep sending garbage and
 //!   rehabilitating them after sustained clean behaviour;
@@ -74,15 +75,6 @@ pub struct ResilienceConfig {
     /// Extra attempts per ladder rung after the first, for retryable
     /// (numerical) solver failures. `0` degrades on the first failure.
     pub max_retries: usize,
-    /// Backoff before retry `i` is `backoff_base_ms * backoff_factor^(i-1)`
-    /// milliseconds. `0.0` records the schedule without sleeping — the
-    /// right setting for replay tests and microbenchmarks.
-    pub backoff_base_ms: f64,
-    /// Multiplier between consecutive backoffs.
-    pub backoff_factor: f64,
-    /// Seed offset between retry attempts, so a retry is not a bit-identical
-    /// rerun of the failure (same constant as the batch supervisor).
-    pub seed_stride: u64,
     /// Consecutive malformed snapshots (repaired, empty, or stale) after
     /// which a source is quarantined.
     pub quarantine_threshold: usize,
@@ -92,10 +84,6 @@ pub struct ResilienceConfig {
     /// Consecutive bit-identical snapshots after which a source counts as
     /// stale (a stuck sensor). `0` disables staleness detection.
     pub stale_after: usize,
-    /// Test hook: fail this many solve attempts with an injected
-    /// `NotConverged` before executing real solves. Exercises the retry and
-    /// degradation paths deterministically; `0` in production.
-    pub inject_epoch_faults: usize,
 }
 
 impl Default for ResilienceConfig {
@@ -104,13 +92,9 @@ impl Default for ResilienceConfig {
             epoch_budget_ms: None,
             deadline_mode: DeadlineMode::Degrade,
             max_retries: 2,
-            backoff_base_ms: 0.0,
-            backoff_factor: 2.0,
-            seed_stride: 0x9e37_79b9,
             quarantine_threshold: 3,
             rehab_clean: 2,
             stale_after: 0,
-            inject_epoch_faults: 0,
         }
     }
 }
@@ -119,8 +103,8 @@ impl ResilienceConfig {
     /// Checks the documented preconditions.
     ///
     /// # Errors
-    /// Returns [`StreamError::InvalidConfig`] for non-positive budgets,
-    /// non-finite backoff settings, or zero quarantine/rehab thresholds.
+    /// Returns [`StreamError::InvalidConfig`] for negative or non-finite
+    /// budgets, or zero quarantine/rehab thresholds.
     pub fn validate(&self) -> Result<()> {
         if let Some(b) = self.epoch_budget_ms {
             if !b.is_finite() || b < 0.0 {
@@ -128,18 +112,6 @@ impl ResilienceConfig {
                     "epoch budget must be finite and >= 0 ms, got {b}"
                 )));
             }
-        }
-        if !self.backoff_base_ms.is_finite() || self.backoff_base_ms < 0.0 {
-            return Err(StreamError::InvalidConfig(format!(
-                "backoff base must be finite and >= 0 ms, got {}",
-                self.backoff_base_ms
-            )));
-        }
-        if !self.backoff_factor.is_finite() || self.backoff_factor < 1.0 {
-            return Err(StreamError::InvalidConfig(format!(
-                "backoff factor must be finite and >= 1, got {}",
-                self.backoff_factor
-            )));
         }
         if self.quarantine_threshold == 0 {
             return Err(StreamError::InvalidConfig(
@@ -152,14 +124,6 @@ impl ResilienceConfig {
             ));
         }
         Ok(())
-    }
-
-    /// Backoff before the `retry`-th retry (1-based), in milliseconds.
-    pub fn backoff_ms(&self, retry: usize) -> f64 {
-        if retry == 0 {
-            return 0.0;
-        }
-        self.backoff_base_ms * self.backoff_factor.powi(retry as i32 - 1)
     }
 }
 
@@ -352,8 +316,6 @@ pub struct EpochResilience {
     pub deadline_blown: bool,
     /// The budget in force, if any.
     pub budget_ms: Option<f64>,
-    /// Total backoff scheduled between retries this epoch.
-    pub backoff_ms_total: f64,
     /// Snapshots accepted untouched since the previous epoch.
     pub accepted: usize,
     /// Snapshots accepted after repair since the previous epoch.
@@ -373,16 +335,8 @@ mod tests {
     }
 
     #[test]
-    fn default_config_validates_and_backoff_grows_geometrically() {
-        let c = ResilienceConfig {
-            backoff_base_ms: 10.0,
-            backoff_factor: 2.0,
-            ..cfg()
-        };
-        c.validate().unwrap();
-        assert_eq!(c.backoff_ms(0), 0.0);
-        assert!((c.backoff_ms(1) - 10.0).abs() < 1e-12);
-        assert!((c.backoff_ms(3) - 40.0).abs() < 1e-12);
+    fn default_config_validates() {
+        cfg().validate().unwrap();
     }
 
     #[test]
@@ -394,14 +348,6 @@ mod tests {
             },
             ResilienceConfig {
                 epoch_budget_ms: Some(f64::NAN),
-                ..cfg()
-            },
-            ResilienceConfig {
-                backoff_base_ms: -2.0,
-                ..cfg()
-            },
-            ResilienceConfig {
-                backoff_factor: 0.5,
                 ..cfg()
             },
             ResilienceConfig {

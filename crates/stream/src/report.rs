@@ -34,7 +34,7 @@ pub struct EpochReport {
     #[serde(default)]
     pub health: HealthState,
     /// What the self-healing machinery did this epoch: solve attempts,
-    /// backoff, deadline state, ingest/quarantine accounting.
+    /// deadline state, ingest/quarantine accounting.
     #[serde(default)]
     pub resilience: EpochResilience,
 }

@@ -24,6 +24,12 @@ step tests  cargo test -q --workspace
 # # Errors docs). Reports: target/audit/AUDIT_report.json and
 # target/audit/CALLGRAPH.json.
 step audit  cargo run -q -p roadpart-audit
+# The frozen benchmark (benchmark/, its own cargo package) compiles against
+# the library's public API; its self-tests check traced labels against
+# partition_network and counting-operator eigenvectors against
+# embedding_recovering, bit for bit. Own target dir, like the benchmark's.
+step roadbench env CARGO_TARGET_DIR=target/roadbench \
+  cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 # Concurrency model checking of the snapshot store under --cfg loom (own
 # target dir so the flag does not invalidate the main build cache).
 step loom   env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \

@@ -126,7 +126,12 @@ fn solver_faults_degrade_then_recover_to_oracle_quality() {
     let oracle = StreamEngine::new(oracle_graph, EngineConfig::new(4).with_seed(7)).unwrap();
     let affinity = {
         let graph = plateau_graph();
-        roadpart_cut::gaussian_affinity(graph.adjacency(), &feed).unwrap()
+        roadpart_cut::gaussian_affinity_par(
+            graph.adjacency(),
+            &feed,
+            &roadpart_linalg::ThreadPool::serial(),
+        )
+        .unwrap()
     };
     let served = QualityReport::compute(&affinity, &feed, store.read().labels());
     let clean = QualityReport::compute(&affinity, &feed, oracle.store().read().labels());
@@ -193,8 +198,12 @@ fn mid_stream_blockade_recovers_within_margin_of_oracle() {
     let oracle = StreamEngine::new(oracle_graph, EngineConfig::new(4).with_seed(21)).unwrap();
 
     let eval_graph = RoadGraph::from_network(&dataset.network).unwrap();
-    let affinity =
-        roadpart_cut::gaussian_affinity(eval_graph.adjacency(), &final_densities).unwrap();
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        eval_graph.adjacency(),
+        &final_densities,
+        &roadpart_linalg::ThreadPool::serial(),
+    )
+    .unwrap();
     let served = QualityReport::compute(&affinity, &final_densities, store.read().labels());
     let clean = QualityReport::compute(&affinity, &final_densities, oracle.store().read().labels());
     assert!(

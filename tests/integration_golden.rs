@@ -59,7 +59,12 @@ fn snapshot_with_reorth(scheme: Scheme, reorth: roadpart_linalg::ReorthPolicy) -
     .with_seed(SEED)
     .with_threads(4);
     let result = partition_network(&dataset.network, dataset.eval_densities(), &cfg).unwrap();
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features()).unwrap();
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &roadpart_linalg::ThreadPool::serial(),
+    )
+    .unwrap();
     let report = QualityReport::compute(&affinity, graph.features(), result.partition.labels());
     SchemeSnapshot {
         labels: result.partition.labels().to_vec(),

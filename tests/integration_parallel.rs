@@ -96,15 +96,15 @@ fn csr_and_dense_matvec_bit_identical_across_pools() {
         for threads in [1, 2, 4, 8] {
             let pool = ThreadPool::new(threads);
             let mut y = vec![0.0; n];
-            affinity.par_matvec(&pool, &x, &mut y).unwrap();
-            assert_bits_eq(&y_ref, &y, &format!("{name}: csr par_matvec @{threads}t"));
+            affinity.apply_par(&pool, &x, &mut y);
+            assert_bits_eq(&y_ref, &y, &format!("{name}: csr apply_par @{threads}t"));
 
             let mut yd = vec![0.0; n];
-            dense.par_matvec(&pool, &x, &mut yd).unwrap();
+            dense.apply_par(&pool, &x, &mut yd);
             assert_bits_eq(
                 &yd_ref,
                 &yd,
-                &format!("{name}: dense par_matvec @{threads}t"),
+                &format!("{name}: dense apply_par @{threads}t"),
             );
         }
     }
@@ -144,16 +144,7 @@ fn gaussian_affinity_bit_identical_across_pools() {
         let reference =
             gaussian_affinity_par(graph.adjacency(), graph.features(), &ThreadPool::serial())
                 .unwrap();
-        // The parallel path must also match the pre-existing serial entry
-        // point exactly.
-        let legacy = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features()).unwrap();
         let ref_img: Vec<f64> = reference.iter().map(|(_, _, w)| w).collect();
-        let legacy_img: Vec<f64> = legacy.iter().map(|(_, _, w)| w).collect();
-        assert_bits_eq(
-            &ref_img,
-            &legacy_img,
-            &format!("{name}: affinity par vs legacy"),
-        );
 
         for &threads in &POOL_SIZES {
             let pool = ThreadPool::new(threads);
@@ -218,8 +209,13 @@ fn superlinks_bit_identical_across_pools() {
         let member_of: Vec<usize> = (0..n).map(|i| i * n_super / n).collect();
         let super_features: Vec<f64> = (0..n_super).map(|s| 0.1 + 0.8 * hash01(s)).collect();
 
-        let reference =
-            roadpart::build_superlinks(graph.adjacency(), &member_of, &super_features).unwrap();
+        let reference = roadpart::build_superlinks_par(
+            graph.adjacency(),
+            &member_of,
+            &super_features,
+            &ThreadPool::serial(),
+        )
+        .unwrap();
         let ref_img: Vec<f64> = reference.iter().map(|(_, _, w)| w).collect();
 
         for &threads in &POOL_SIZES {

@@ -65,10 +65,11 @@ proptest! {
     /// connected, for both cut kinds.
     #[test]
     fn cuts_return_connected_partitions((adj, feats) in arb_graph(), k in 2usize..5) {
-        let affinity = roadpart_cut::gaussian_affinity(&adj, &feats).unwrap();
+        let affinity = roadpart_cut::gaussian_affinity_par(&adj, &feats, &roadpart_linalg::ThreadPool::serial()).unwrap();
         for kind in [roadpart_cut::CutKind::Alpha, roadpart_cut::CutKind::Normalized] {
-            let p = roadpart_cut::spectral_partition(
+            let p = roadpart_cut::spectral_partition_recovering(
                 &affinity, k.min(adj.dim()), kind, &SpectralConfig::default(),
+                &mut roadpart_linalg::RecoveryLog::new(),
             ).unwrap();
             prop_assert_eq!(p.len(), adj.dim());
             let comp = roadpart_cluster::constrained_components(&affinity, Some(p.labels())).unwrap();
@@ -81,8 +82,11 @@ proptest! {
     /// Definitions 3-4 (cost + volume = total weight).
     #[test]
     fn metrics_invariants((adj, feats) in arb_graph(), k in 2usize..5) {
-        let affinity = roadpart_cut::gaussian_affinity(&adj, &feats).unwrap();
-        let p = roadpart_cut::alpha_cut(&affinity, k.min(adj.dim()), &SpectralConfig::default()).unwrap();
+        let affinity = roadpart_cut::gaussian_affinity_par(&adj, &feats, &roadpart_linalg::ThreadPool::serial()).unwrap();
+        let p = roadpart_cut::spectral_partition_recovering(
+            &affinity, k.min(adj.dim()), roadpart_cut::CutKind::Alpha, &SpectralConfig::default(),
+            &mut roadpart_linalg::RecoveryLog::new(),
+        ).unwrap();
         let rep = QualityReport::compute(&affinity, &feats, p.labels());
         prop_assert!(rep.inter >= 0.0 && rep.inter.is_finite());
         prop_assert!(rep.intra >= 0.0 && rep.intra.is_finite());
@@ -102,7 +106,10 @@ proptest! {
         let out = roadpart::mine_supergraph(&graph, &MiningConfig::default()).unwrap();
         let sg = &out.supergraph;
         if sg.order() >= k {
-            let p = roadpart_cut::alpha_cut(sg.adjacency(), k, &SpectralConfig::default()).unwrap();
+            let p = roadpart_cut::spectral_partition_recovering(
+                sg.adjacency(), k, roadpart_cut::CutKind::Alpha, &SpectralConfig::default(),
+                &mut roadpart_linalg::RecoveryLog::new(),
+            ).unwrap();
             let labels = sg.expand_labels(p.labels()).unwrap();
             let expanded = Partition::from_labels(&labels);
             prop_assert_eq!(expanded.k(), p.k());
@@ -148,7 +155,7 @@ proptest! {
         let result = roadpart::partition_network(&net, &densities, &cfg).unwrap();
         prop_assert!(result.graph.adjacency().validate().is_ok());
         prop_assert!(result.partition.validate().is_ok());
-        if let Some(m) = &result.outcome.mining {
+        if let Some(m) = &result.mining {
             prop_assert!(m.supergraph.validate(result.graph.adjacency()).is_ok());
         }
     }

@@ -12,7 +12,8 @@
 
 use roadpart::prelude::*;
 use roadpart_linalg::{
-    sym_eigs, CsrMatrix, DiagScaledOp, EigenConfig, RankOneUpdate, ReorthPolicy, SymOp, Which,
+    sym_eigs_recovering, CsrMatrix, DiagScaledOp, EigenConfig, FallbackConfig, PartialEigen,
+    RankOneUpdate, RecoveryLog, ReorthPolicy, SymOp, ThreadPool, Which,
 };
 
 /// Eigenpairs requested from every operator.
@@ -46,8 +47,12 @@ fn affinity_graphs(seed: u64) -> Vec<(&'static str, CsrMatrix)> {
             let densities = field.densities(&net, 0.4, &TemporalProfile::morning());
             let mut graph = RoadGraph::from_network(&net).unwrap();
             graph.set_features(densities).unwrap();
-            let affinity =
-                roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features()).unwrap();
+            let affinity = roadpart_cut::gaussian_affinity_par(
+                graph.adjacency(),
+                graph.features(),
+                &ThreadPool::serial(),
+            )
+            .unwrap();
             (family, affinity)
         })
         .collect()
@@ -78,18 +83,29 @@ fn residual(op: &impl SymOp, vectors: &roadpart_linalg::DenseMatrix, theta: f64,
         .sqrt()
 }
 
-/// Solves `op` under both policies and checks (a) every Ritz pair of both
-/// solves satisfies the scaled residual bound and (b) the spectra agree.
-fn check_operator(name: &str, op: &impl SymOp) {
-    let full = sym_eigs(op, NEV, Which::Smallest, &eigen_cfg(ReorthPolicy::Full))
-        .unwrap_or_else(|e| panic!("{name}: full-reorth solve failed: {e}"));
-    let sel = sym_eigs(
+/// Solves `op` under `policy`. The solve must succeed on the ladder's
+/// baseline rung: the relaxed rungs pin full reorthogonalization, so a
+/// fallback would compare the wrong policy.
+fn solve(name: &str, op: &impl SymOp, policy: ReorthPolicy) -> PartialEigen {
+    let mut log = RecoveryLog::new();
+    let dec = sym_eigs_recovering(
         op,
         NEV,
         Which::Smallest,
-        &eigen_cfg(ReorthPolicy::Selective),
+        &eigen_cfg(policy),
+        &FallbackConfig::default(),
+        &mut log,
     )
-    .unwrap_or_else(|e| panic!("{name}: selective solve failed: {e}"));
+    .unwrap_or_else(|e| panic!("{name}: {policy:?} solve failed: {e}"));
+    assert!(log.is_clean(), "{name}: {policy:?} solve needed a fallback");
+    dec
+}
+
+/// Solves `op` under both policies and checks (a) every Ritz pair of both
+/// solves satisfies the scaled residual bound and (b) the spectra agree.
+fn check_operator(name: &str, op: &impl SymOp) {
+    let full = solve(name, op, ReorthPolicy::Full);
+    let sel = solve(name, op, ReorthPolicy::Selective);
     assert_eq!(full.values.len(), NEV, "{name}: full solve pair count");
     assert_eq!(sel.values.len(), NEV, "{name}: selective solve pair count");
 

@@ -36,39 +36,50 @@ fn m1_scaled_pipeline() {
 /// legitimately tie-break differently.)
 #[test]
 fn lanczos_matches_dense_eigenvalues_on_road_affinity() {
-    use roadpart_linalg::{sym_eigs, EigenConfig, RankOneUpdate, SymOp, Which};
+    use roadpart_linalg::{
+        sym_eigs_recovering, EigenConfig, FallbackConfig, RankOneUpdate, RecoveryLog, SymOp,
+        ThreadPool, Which,
+    };
     let dataset = roadpart::datasets::d1(0.4, 41).unwrap();
     let mut graph = roadpart_net::RoadGraph::from_network(&dataset.network).unwrap();
     graph
         .set_features(dataset.eval_densities().to_vec())
         .unwrap();
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features()).unwrap();
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &ThreadPool::serial(),
+    )
+    .unwrap();
 
-    // The alpha-Cut operator M = d d^T / s - A, both solver paths.
+    // The alpha-Cut operator M = d d^T / s - A, both solver paths, each on
+    // the ladder's baseline rung.
     let d = affinity.degrees();
     let s: f64 = d.iter().sum();
     let op = RankOneUpdate::new(&affinity, d, 1.0 / s, -1.0).unwrap();
-    let dense = sym_eigs(
-        &op,
-        5,
-        Which::Smallest,
-        &EigenConfig {
-            dense_cutoff: 100_000,
-            ..EigenConfig::default()
-        },
-    )
-    .unwrap();
-    let lanczos = sym_eigs(
-        &op,
-        5,
-        Which::Smallest,
-        &EigenConfig {
-            dense_cutoff: 0,
-            tol: 1e-9,
-            ..EigenConfig::default()
-        },
-    )
-    .unwrap();
+    let solve = |cfg: &EigenConfig| {
+        let mut log = RecoveryLog::new();
+        let dec = sym_eigs_recovering(
+            &op,
+            5,
+            Which::Smallest,
+            cfg,
+            &FallbackConfig::default(),
+            &mut log,
+        )
+        .unwrap();
+        assert!(log.is_clean(), "solve needed a fallback rung");
+        dec
+    };
+    let dense = solve(&EigenConfig {
+        dense_cutoff: 100_000,
+        ..EigenConfig::default()
+    });
+    let lanczos = solve(&EigenConfig {
+        dense_cutoff: 0,
+        tol: 1e-9,
+        ..EigenConfig::default()
+    });
     for j in 0..5 {
         assert!(
             (dense.values[j] - lanczos.values[j]).abs() < 1e-6,
@@ -88,7 +99,14 @@ fn lanczos_matches_dense_eigenvalues_on_road_affinity() {
     // The Lanczos-driven partition is still structurally valid.
     let mut lanczos_cfg = SpectralConfig::default().with_seed(41);
     lanczos_cfg.eigen.dense_cutoff = 0;
-    let p = roadpart_cut::alpha_cut(&affinity, 4, &lanczos_cfg).unwrap();
+    let p = roadpart_cut::spectral_partition_recovering(
+        &affinity,
+        4,
+        roadpart_cut::CutKind::Alpha,
+        &lanczos_cfg,
+        &mut RecoveryLog::new(),
+    )
+    .unwrap();
     assert_eq!(p.len(), affinity.dim());
     let comp = roadpart_cluster::constrained_components(&affinity, Some(p.labels())).unwrap();
     let n_comp = comp.iter().copied().max().map_or(0, |m| m + 1);

@@ -42,7 +42,12 @@ fn all_schemes_valid_on_d1() {
 fn asg_best_ans_is_meaningful() {
     let (_, graph) = d1_graph(0.5, 23);
     let cfg = FrameworkConfig::default().with_seed(23);
-    let affinity = roadpart_cut::gaussian_affinity(graph.adjacency(), graph.features()).unwrap();
+    let affinity = roadpart_cut::gaussian_affinity_par(
+        graph.adjacency(),
+        graph.features(),
+        &roadpart_linalg::ThreadPool::serial(),
+    )
+    .unwrap();
     let best = (2..=8)
         .map(|k| {
             let out = roadpart::run_scheme(&graph, Scheme::ASG, k, &cfg).unwrap();
