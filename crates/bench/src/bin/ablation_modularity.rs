@@ -15,7 +15,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use roadpart_bench::{write_json, ExpArgs};
+use roadpart_bench::{run_experiment, write_json, ExpArgs, Flag::*};
 use roadpart_cut::{dense_alpha_matrix, spectral_partition_recovering, CutKind, SpectralConfig};
 use roadpart_eval::modularity;
 use roadpart_linalg::CsrMatrix;
@@ -38,8 +38,11 @@ fn planted(blocks: usize, size: usize, p_cross: f64, rng: &mut ChaCha8Rng) -> Cs
     CsrMatrix::from_undirected_edges(n, &edges).expect("valid random graph")
 }
 
-fn main() {
-    let args = ExpArgs::parse(1.0, 10, 4);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Seed, Runs(10)], run)
+}
+
+fn run(args: ExpArgs) {
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
     println!("Ablation A1: alpha-Cut matrix == -modularity matrix, and modularity quality\n");
 

@@ -13,7 +13,7 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use roadpart_bench::{write_json, ExpArgs};
+use roadpart_bench::{run_experiment, write_json, ExpArgs, Flag::*};
 use roadpart_cluster::{optimality_sweep, OptimalityPoint};
 
 /// 1-D Gaussian mixture with `c` components and moderate overlap.
@@ -43,8 +43,11 @@ fn knee_by(sweep: &[OptimalityPoint], f: impl Fn(&OptimalityPoint) -> f64) -> us
         .expect("non-empty sweep")
 }
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.5, 30, 9);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.5), Seed, Runs(30), Kmax(9)], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     let mut rng = ChaCha8Rng::seed_from_u64(args.seed);
     println!(
         "Ablation A3: cluster-count selection accuracy over {} planted mixtures\n",

@@ -12,11 +12,14 @@
 //! ```
 
 use roadpart::prelude::*;
-use roadpart_bench::{eval_graph, write_json, ExpArgs};
+use roadpart_bench::{eval_graph, run_experiment, write_json, ExpArgs, Flag::*};
 use std::time::Instant;
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.5, 3, 6);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.5), Seed, Runs(3), Kmax(6)], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Ablation A2: stability threshold sweep on D1 (scale {}, seed {}, k = {})\n",
         args.scale, args.seed, args.kmax

@@ -30,7 +30,7 @@
 //! gate: the process exits non-zero if any replay errors, any metric goes
 //! non-finite, or no scenario is ever detected.
 
-use roadpart_bench::write_json;
+use roadpart_bench::{run_experiment, write_json, ExpArgs, Flag::*};
 use roadpart_cut::{gaussian_affinity_par, spectral_partition_recovering, CutKind, SpectralConfig};
 use roadpart_eval::QualityReport;
 use roadpart_linalg::{RecoveryLog, ThreadPool};
@@ -38,54 +38,9 @@ use roadpart_net::RoadGraph;
 use roadpart_stream::{EngineConfig, EpochAction, StreamEngine};
 use roadpart_traffic::{DensityHistory, Scenario};
 use serde_json::json;
+use std::process::ExitCode;
 
 const K: usize = 4;
-
-/// Parsed flags. Owns its parsing because the shared `ExpArgs` parser
-/// treats every flag as valued and would swallow the flag after a bare
-/// `--smoke`.
-struct BenchArgs {
-    scale: f64,
-    seed: u64,
-    epochs: usize,
-    smoke: bool,
-}
-
-fn parse_args() -> BenchArgs {
-    let mut out = BenchArgs {
-        scale: 0.3,
-        seed: 42,
-        epochs: 12,
-        smoke: false,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--smoke" => out.smoke = true,
-            "--scale" => {
-                if let Some(v) = args.next().and_then(|s| s.parse::<f64>().ok()) {
-                    out.scale = v.clamp(1e-3, 1.0);
-                }
-            }
-            "--seed" => {
-                if let Some(v) = args.next().and_then(|s| s.parse().ok()) {
-                    out.seed = v;
-                }
-            }
-            "--epochs" => {
-                if let Some(v) = args.next().and_then(|s| s.parse::<usize>().ok()) {
-                    out.epochs = v.max(2);
-                }
-            }
-            other => eprintln!("warning: ignoring unknown flag {other}"),
-        }
-    }
-    if out.smoke {
-        out.scale = out.scale.min(0.25);
-        out.epochs = out.epochs.min(8);
-    }
-    out
-}
 
 /// A named resilience posture applied to the engine config.
 struct Policy {
@@ -311,13 +266,20 @@ fn failed_case(scenario: &Scenario, policy: &Policy, why: &str) -> CaseResult {
     }
 }
 
-fn main() -> std::process::ExitCode {
-    let args = parse_args();
+fn main() -> ExitCode {
+    run_experiment(&[Scale(0.3), Seed, Epochs(12), Smoke], run)
+}
+
+fn run(mut args: ExpArgs) -> ExitCode {
+    if args.smoke {
+        args.scale = args.scale.min(0.25);
+        args.epochs = args.epochs.min(8);
+    }
     let dataset = match roadpart::datasets::d1(args.scale, args.seed) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("cannot build dataset: {e}");
-            return std::process::ExitCode::FAILURE;
+            return ExitCode::FAILURE;
         }
     };
     let scenarios = Scenario::standard_suite(&dataset.network);
@@ -404,8 +366,8 @@ fn main() -> std::process::ExitCode {
         eprintln!(
             "VALIDITY GATE FAILED: failed={any_failed} finite={all_finite} detected={any_detected}"
         );
-        return std::process::ExitCode::FAILURE;
+        return ExitCode::FAILURE;
     }
     println!("\nvalidity gate passed");
-    std::process::ExitCode::SUCCESS
+    ExitCode::SUCCESS
 }

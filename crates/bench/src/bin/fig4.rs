@@ -12,10 +12,13 @@
 //! below NG throughout.
 
 use roadpart::prelude::*;
-use roadpart_bench::{eval_graph, median_quality, write_json, ExpArgs};
+use roadpart_bench::{eval_graph, median_quality, run_experiment, write_json, ExpArgs, Flag::*};
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.5, 5, 20);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.5), Seed, Runs(5), Kmax(20)], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Figure 4: D1 scheme sweep (scale {}, seed {}, {} runs, k = 2..={})\n",
         args.scale, args.seed, args.runs, args.kmax

@@ -12,11 +12,14 @@
 //! segment count.
 
 use roadpart::prelude::*;
-use roadpart_bench::{write_json, ExpArgs};
+use roadpart_bench::{run_experiment, write_json, ExpArgs, Flag::*};
 use roadpart_cluster::{constrained_components, kmeans_1d, optimality_sweep};
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.08, 1, 30);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.08), Seed, Kmax(30)], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Figure 5: MCG and supernode counts vs kappa (scale {}, seed {})\n",
         args.scale, args.seed

@@ -9,10 +9,13 @@
 //! concentrates in the top bins.
 
 use roadpart::prelude::*;
-use roadpart_bench::{eval_graph, write_json, ExpArgs};
+use roadpart_bench::{eval_graph, run_experiment, write_json, ExpArgs, Flag::*};
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.25, 1, 2);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.25), Seed], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Figure 6: supernode stability measures (scale {}, seed {})\n",
         args.scale, args.seed

@@ -13,10 +13,13 @@
 //! densities are lower.
 
 use roadpart::prelude::*;
-use roadpart_bench::{eval_graph, median_quality, write_json, ExpArgs};
+use roadpart_bench::{eval_graph, median_quality, run_experiment, write_json, ExpArgs, Flag::*};
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.05, 3, 15);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.05), Seed, Runs(3), Kmax(15)], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Figure 7: ASG quality vs k on M1/M2/M3 (scale {}, seed {}, {} runs)\n",
         args.scale, args.seed, args.runs

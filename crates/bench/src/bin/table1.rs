@@ -7,11 +7,14 @@
 //! cargo run -p roadpart-bench --release --bin table1 -- --scale 1.0
 //! ```
 
-use roadpart_bench::{write_json, ExpArgs};
+use roadpart_bench::{run_experiment, write_json, ExpArgs, Flag::*};
 use roadpart_net::UrbanConfig;
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.2, 1, 2);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.2), Seed], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Table 1: dataset statistics (scale {}, seed {})",
         args.scale, args.seed

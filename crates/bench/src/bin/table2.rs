@@ -9,10 +9,13 @@
 //! than NG/NSG and the JG baseline; the JG baseline improves on plain NG.
 
 use roadpart::prelude::*;
-use roadpart_bench::{eval_graph, median_quality, write_json, ExpArgs};
+use roadpart_bench::{eval_graph, median_quality, run_experiment, write_json, ExpArgs, Flag::*};
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.5, 5, 20);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.5), Seed, Runs(5), Kmax(20)], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Table 2: best ANS per scheme on D1 (scale {}, seed {}, {} runs, k <= {})\n",
         args.scale, args.seed, args.runs, args.kmax

@@ -11,10 +11,13 @@
 //! size. Absolute numbers differ from 2014 Matlab on 2014 hardware.
 
 use roadpart::prelude::*;
-use roadpart_bench::{write_json, ExpArgs};
+use roadpart_bench::{run_experiment, write_json, ExpArgs, Flag::*};
 
-fn main() -> roadpart::Result<()> {
-    let args = ExpArgs::parse(0.05, 1, 2);
+fn main() -> std::process::ExitCode {
+    run_experiment(&[Scale(0.05), Seed], run)
+}
+
+fn run(args: ExpArgs) -> roadpart::Result<()> {
     println!(
         "Table 3: per-module wall clock in seconds (scale {}, seed {}, ASG, k from ANS defaults)\n",
         args.scale, args.seed

@@ -28,7 +28,7 @@ USAGE:
                      [--scheme <ag|asg|ng|nsg>] [--seed N]
   roadpart stream    --preset <d1|m1|m2|m3> [--scale F] [--seed N] [--k N]
                      [--epochs N] [--aggregate <latest|window:N|ewma:A>]
-                     [--warm <on|off>] [--log <out json>]
+                     [--log <out json>]
                      [--scenario <capacity-drop|blockade|rush-hour|moving-hotspot>]
                      [--budget-ms F] [--deadline <degrade|fail>] [--retries N]
   roadpart serve     --preset <d1|m1|m2|m3> [--scale F] [--seed N] [--k N]
@@ -340,7 +340,6 @@ pub fn stream(argv: &[String]) -> CliResult<()> {
             "k",
             "epochs",
             "aggregate",
-            "warm",
             "log",
             "scenario",
             "budget-ms",
@@ -356,16 +355,6 @@ pub fn stream(argv: &[String]) -> CliResult<()> {
     if epochs == 0 {
         return Err(CliError::config("--epochs must be at least 1"));
     }
-    let warm = match args.optional("warm").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(CliError::config(format!(
-                "bad --warm '{other}' (use on|off)"
-            )))
-        }
-    };
-
     let dataset = build_dataset(preset, scale, seed)?;
     // Overlay the requested disruption scenario on the simulated trace.
     let history = match args.optional("scenario") {
@@ -401,7 +390,6 @@ pub fn stream(argv: &[String]) -> CliResult<()> {
     let mut graph = RoadGraph::from_network(&dataset.network)?;
     graph.set_features(history.at(0).to_vec())?;
     let mut cfg = EngineConfig::new(k).with_seed(seed);
-    cfg.warm_start = warm;
     if let Some(raw) = args.optional("aggregate") {
         cfg.aggregate = parse_aggregate(raw)?;
     }

@@ -27,3 +27,11 @@ fn partition_rejects_an_unknown_flag() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag --shards"), "{stderr}");
 }
+
+#[test]
+fn stream_rejects_an_unknown_warm_flag() {
+    let out = roadpart(&["stream", "--preset", "d1", "--warm", "off"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --warm"), "{stderr}");
+}

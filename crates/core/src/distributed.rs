@@ -11,6 +11,7 @@
 use crate::error::Result;
 use crate::schemes::{run_scheme, FrameworkConfig, Scheme};
 use roadpart_cut::Partition;
+use roadpart_linalg::RecoveryLog;
 use roadpart_net::RoadGraph;
 
 /// Drift statistics between the previous and the refreshed partitioning —
@@ -26,11 +27,6 @@ pub struct DistributedConfig {
     pub scheme: Scheme,
     /// Sub-partitions per region. Regions smaller than this stay whole.
     pub k_per_region: usize,
-    /// Minimum fractional reduction of the region's within-partition
-    /// squared density error required to *keep* a split. Prevents the
-    /// monitoring loop from fragmenting homogeneous regions round after
-    /// round; `0.0` always splits.
-    pub min_variance_gain: f64,
     /// Framework knobs for the per-region runs.
     pub framework: FrameworkConfig,
 }
@@ -40,7 +36,6 @@ impl Default for DistributedConfig {
         Self {
             scheme: Scheme::AG,
             k_per_region: 2,
-            min_variance_gain: 0.2,
             framework: FrameworkConfig::default(),
         }
     }
@@ -53,7 +48,14 @@ pub struct DistributedOutcome {
     pub partition: Partition,
     /// How much structure changed relative to `previous`.
     pub drift: DriftReport,
+    /// Every eigensolver attempt of the per-region runs, in region order.
+    pub recovery: RecoveryLog,
 }
+
+/// Minimum fractional reduction of the region's within-partition squared
+/// density error required to *keep* a split. Prevents the monitoring loop
+/// from fragmenting homogeneous regions round after round.
+const MIN_VARIANCE_GAIN: f64 = 0.2;
 
 /// Re-partitions each region of `previous` independently on the *current*
 /// densities in `graph` (same topology, fresh features), composing the
@@ -70,6 +72,7 @@ pub fn repartition_regions(
     assert_eq!(previous.len(), n, "partition/graph size mismatch");
     let mut labels = vec![0usize; n];
     let mut next_label = 0usize;
+    let mut recovery = RecoveryLog::new();
     for members in previous.groups() {
         if members.len() <= cfg.k_per_region.max(1) || members.len() < 4 {
             // Too small to split further: keep the region whole.
@@ -86,11 +89,12 @@ pub fn repartition_regions(
         let sub_graph = RoadGraph::from_parts(sub_adj, sub_feats.clone(), sub_positions)?;
         let k = cfg.k_per_region.min(sub_graph.node_count());
         let out = run_scheme(&sub_graph, cfg.scheme, k, &cfg.framework)?;
+        recovery.absorb(out.recovery);
         // Keep the split only if it explains enough of the region's density
         // heterogeneity; otherwise the region is already homogeneous and
         // stays whole.
         let keep_split = out.partition.k() > 1
-            && variance_gain(&sub_feats, out.partition.labels()) >= cfg.min_variance_gain;
+            && variance_gain(&sub_feats, out.partition.labels()) >= MIN_VARIANCE_GAIN;
         if !keep_split {
             for &m in &members {
                 labels[m] = next_label;
@@ -109,7 +113,11 @@ pub fn repartition_regions(
     }
     let partition = Partition::from_labels(&labels);
     let drift = DriftReport::between(previous.labels(), partition.labels());
-    Ok(DistributedOutcome { partition, drift })
+    Ok(DistributedOutcome {
+        partition,
+        drift,
+        recovery,
+    })
 }
 
 /// Fraction of the region's total squared density error removed by the

@@ -35,9 +35,6 @@ pub struct MiningConfig {
     /// Fraction of the sweep's maximum MCG used when `mcg_threshold` is
     /// `None`.
     pub mcg_threshold_frac: f64,
-    /// Sample size for the κ sweep ("repetitive clustering is applied on a
-    /// randomly generated sample dataset", §4.1).
-    pub sample_size: usize,
     /// Stability threshold `ε_η ∈ [0, 1]`; `0.0` disables the check (the
     /// ASG/NSG schemes).
     pub stability_threshold: f64,
@@ -56,7 +53,6 @@ impl Default for MiningConfig {
             kappa_max: 30,
             mcg_threshold: None,
             mcg_threshold_frac: 0.9,
-            sample_size: 2_000,
             stability_threshold: 0.0,
             seed: 0,
             pool: roadpart_linalg::ThreadPool::from_env(),
@@ -84,6 +80,10 @@ pub struct MiningOutcome {
     pub stabilities: Vec<f64>,
 }
 
+/// Sample size for the κ sweep ("repetitive clustering is applied on a
+/// randomly generated sample dataset", §4.1).
+const SAMPLE_SIZE: usize = 2_000;
+
 /// Mines the road supergraph from a road graph (Algorithm 1).
 ///
 /// # Errors
@@ -105,14 +105,11 @@ pub fn mine_supergraph(graph: &RoadGraph, cfg: &MiningConfig) -> Result<MiningOu
     let features = graph.features();
 
     // --- Step 1: κ sweep on a sample (lines 3-9). ---
-    let sample: Vec<f64> = if n > cfg.sample_size.max(2) {
+    let sample: Vec<f64> = if n > SAMPLE_SIZE {
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
         let mut idx: Vec<usize> = (0..n).collect();
         idx.shuffle(&mut rng);
-        idx[..cfg.sample_size]
-            .iter()
-            .map(|&i| features[i])
-            .collect()
+        idx[..SAMPLE_SIZE].iter().map(|&i| features[i]).collect()
     } else {
         features.to_vec()
     };

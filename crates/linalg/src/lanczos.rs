@@ -68,8 +68,6 @@ pub struct EigenConfig {
     /// Below this dimension the operator is densified (one apply per unit
     /// vector) and solved exactly with [`eigh`]. Default: 512.
     pub dense_cutoff: usize,
-    /// Hard cap on the Krylov subspace dimension per restart. Default: 400.
-    pub max_subspace: usize,
     /// Maximum number of deflated restarts. Default: 24.
     pub max_restarts: usize,
     /// Relative residual tolerance for Ritz-pair convergence. Default: 1e-8.
@@ -99,7 +97,6 @@ impl Default for EigenConfig {
     fn default() -> Self {
         Self {
             dense_cutoff: 512,
-            max_subspace: 400,
             max_restarts: 24,
             tol: 1e-8,
             seed: 0x5eed_1a27,
@@ -489,6 +486,9 @@ impl OmegaState {
     }
 }
 
+/// Hard cap on the Krylov subspace dimension per restart.
+const MAX_SUBSPACE: usize = 400;
+
 /// One Lanczos run in the orthogonal complement of `locked`, returning up to
 /// `need` converged Ritz pairs from the wanted end of the spectrum. When a
 /// warm-start `hint` is supplied it seeds the Krylov sequence (after
@@ -506,7 +506,7 @@ fn lanczos_run(
     ws: &mut Workspace,
 ) -> Result<RunResult> {
     let n = op.dim();
-    let m_max = cfg.max_subspace.min(n - locked.len()).max(1);
+    let m_max = MAX_SUBSPACE.min(n - locked.len()).max(1);
     let selective = cfg.reorth == ReorthPolicy::Selective;
 
     let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m_max);

@@ -838,6 +838,9 @@ mod tests {
         let report4 = wide.run_batch(&batch).unwrap();
         assert_eq!(report.total_cost.to_bits(), report4.total_cost.to_bits());
         assert_eq!(report.ok, report4.ok);
+        // A multi-thread batch loses no query and keeps its stats finite.
+        assert_eq!(report4.ok + report4.no_route, batch.len());
+        assert!(report4.qps.is_finite() && report4.p50_us <= report4.p99_us);
     }
 
     #[test]

@@ -70,17 +70,14 @@ pub struct EngineConfig {
     pub spectral: SpectralConfig,
     /// Settings for regional refreshes (`core::distributed`).
     pub regional: DistributedConfig,
-    /// Seed global rebuilds with the previous epoch's eigenvectors and
-    /// centroids. Disable only to measure the cold baseline.
-    pub warm_start: bool,
     /// Self-healing knobs: deadlines, retries, quarantine thresholds.
     pub resilience: ResilienceConfig,
 }
 
 impl EngineConfig {
     /// Defaults for a `k`-way engine: α-Cut, 3-snapshot window mean,
-    /// default drift policy, warm starts on, default resilience posture
-    /// (retries on, no deadline).
+    /// default drift policy, default resilience posture (retries on, no
+    /// deadline).
     pub fn new(k: usize) -> Self {
         Self {
             k,
@@ -89,7 +86,6 @@ impl EngineConfig {
             policy: DriftPolicy::default(),
             spectral: SpectralConfig::default(),
             regional: DistributedConfig::default(),
-            warm_start: true,
             resilience: ResilienceConfig::default(),
         }
     }
@@ -98,13 +94,6 @@ impl EngineConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.spectral = self.spectral.with_seed(seed);
         self.regional.framework = self.regional.framework.clone().with_seed(seed ^ 0x5747);
-        self
-    }
-
-    /// Replaces the resilience settings.
-    #[must_use]
-    pub fn with_resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.resilience = resilience;
         self
     }
 
@@ -192,8 +181,9 @@ impl StreamEngine {
             health: HealthState::Healthy,
             injected_faults: 0,
         };
-        let densities = engine.baseline.clone();
-        let (partition, _) = engine.global_repartition(&densities)?;
+        let (densities, spectral) = (engine.baseline.clone(), engine.cfg.spectral.clone());
+        let log = &mut RecoveryLog::new();
+        let (partition, _) = engine.global_repartition(&densities, &spectral, log)?;
         engine.check_publishable(&partition)?;
         engine.store = Arc::new(PartitionStore::new(partition.labels().to_vec(), 0));
         Ok(engine)
@@ -404,7 +394,9 @@ impl StreamEngine {
                     }
                 }
                 let seed = self.attempt_seed(rung, attempt);
-                let outcome = self.attempt_action(rung, &current, attempt, live.labels());
+                let mut recoveries = RecoveryLog::new();
+                let outcome =
+                    self.attempt_action(rung, &current, attempt, live.labels(), &mut recoveries);
                 match outcome {
                     Ok((labels, attempt_drift, warm)) => {
                         resilience.attempts.push(EpochAttempt {
@@ -417,6 +409,7 @@ impl StreamEngine {
                         self.store.publish(labels, self.epoch);
                         drift = Some(attempt_drift);
                         warm_started = warm;
+                        resilience.recoveries = recoveries;
                         executed = rung;
                         break 'ladder;
                     }
@@ -491,26 +484,25 @@ impl StreamEngine {
         rotated_seed(base, attempt)
     }
 
-    /// Executes one ladder rung once, returning the labels to publish, the
-    /// old-vs-new drift, and whether a warm start was applied. Validates
-    /// the partition before returning, so a success here is publishable.
+    /// Executes one ladder rung once (solves logged to `log`), returning the
+    /// labels to publish, the old-vs-new drift, and whether a warm start was
+    /// applied. Validates the partition, so a success here is publishable.
     fn attempt_action(
         &mut self,
         rung: EpochAction,
         current: &[f64],
         attempt: usize,
         live_labels: &[usize],
+        log: &mut RecoveryLog,
     ) -> Result<(Vec<usize>, PartitionDrift, bool)> {
         self.injected_fault()?;
         match rung {
             EpochAction::Global => {
-                let (partition, warm) = if attempt == 0 {
-                    self.global_repartition(current)?
-                } else {
-                    let seed = self.attempt_seed(rung, attempt);
-                    let rotated = self.cfg.spectral.clone().with_seed(seed);
-                    self.global_repartition_with(current, &rotated)?
-                };
+                let mut spectral = self.cfg.spectral.clone();
+                if attempt > 0 {
+                    spectral = spectral.with_seed(self.attempt_seed(rung, attempt));
+                }
+                let (partition, warm) = self.global_repartition(current, &spectral, log)?;
                 self.check_publishable(&partition)?;
                 let drift = PartitionDrift::between(live_labels, partition.labels());
                 Ok((partition.labels().to_vec(), drift, warm))
@@ -526,6 +518,7 @@ impl StreamEngine {
                     r
                 };
                 let out = repartition_regions(&self.graph, &prev, &regional)?;
+                log.absorb(out.recovery);
                 self.check_publishable(&out.partition)?;
                 Ok((out.partition.labels().to_vec(), out.drift, false))
             }
@@ -575,21 +568,15 @@ impl StreamEngine {
         Ok(())
     }
 
-    /// Full spectral rebuild on `densities` with the configured spectral
-    /// settings.
-    fn global_repartition(&mut self, densities: &[f64]) -> Result<(Partition, bool)> {
-        let spectral = self.cfg.spectral.clone();
-        self.global_repartition_with(densities, &spectral)
-    }
-
-    /// Full spectral rebuild on `densities` under explicit spectral
-    /// settings (retries pass a seed-rotated clone), reusing (and then
-    /// replacing) the cached warm-start artifacts. Returns the partition
-    /// and whether a warm start was actually applied.
-    fn global_repartition_with(
+    /// Full spectral rebuild on `densities` under `spectral` (retries pass a
+    /// seed-rotated clone), warm-started from (then replacing) the cached
+    /// artifacts of the previous rebuild, solves logged to `log`. Returns the
+    /// partition and whether a warm start was applied (not on the first).
+    fn global_repartition(
         &mut self,
         densities: &[f64],
         spectral: &SpectralConfig,
+        log: &mut RecoveryLog,
     ) -> Result<(Partition, bool)> {
         self.graph.set_features(densities.to_vec())?;
         let affinity = gaussian_affinity_par(
@@ -597,20 +584,14 @@ impl StreamEngine {
             self.graph.features(),
             &spectral.pool(),
         )?;
-        let warm = if self.cfg.warm_start {
-            self.artifacts.as_ref()
-        } else {
-            None
-        };
-        let warm_used = warm.is_some();
-        let mut log = RecoveryLog::new();
+        let warm_used = self.artifacts.is_some();
         let (partition, artifacts) = spectral_partition_warm_ws(
             &affinity,
             self.cfg.k.min(self.graph.node_count()),
             self.cfg.cut,
             spectral,
-            warm,
-            &mut log,
+            self.artifacts.as_ref(),
+            log,
             &mut self.workspace,
         )?;
         self.artifacts = Some(artifacts);
@@ -689,6 +670,62 @@ mod tests {
     }
 
     #[test]
+    fn epochs_report_the_solves_of_the_attempt_that_published() {
+        let graph = plateau_graph(3);
+        let baseline = graph.features().to_vec();
+        let mut cfg = EngineConfig::new(3);
+        cfg.spectral.fallback.inject_failures = 1;
+        let mut engine = StreamEngine::new(graph, cfg).unwrap();
+        engine.ingest(&baseline).unwrap();
+        let report = engine.run_epoch().unwrap();
+        assert_eq!(report.action, EpochAction::NoOp);
+        assert!(report.resilience.recoveries.events.is_empty());
+
+        // The first attempt fails before any solve; the retry's main
+        // embedding is the one rescued solve (refinement runs clean).
+        engine.arm_fault_injection(1);
+        for _ in 0..3 {
+            engine.ingest(&flipped(baseline.len())).unwrap();
+        }
+        let report = engine.run_epoch().unwrap();
+        assert_eq!(report.action, EpochAction::Global);
+        assert_eq!(report.resilience.attempts.len(), 2);
+        let recoveries = &report.resilience.recoveries;
+        assert_eq!(recoveries.failures(), 1, "{recoveries:?}");
+        assert!(recoveries.events.last().unwrap().succeeded);
+    }
+
+    #[test]
+    fn regional_epoch_reports_each_rescued_region() {
+        let graph = plateau_graph(3);
+        let n = graph.node_count();
+        let mut cfg = EngineConfig::new(3);
+        // Thresholds no probe meets on either side: every epoch is regional.
+        cfg.policy = DriftPolicy {
+            noop_divergence: 0.0,
+            noop_retention: 1e9,
+            global_divergence: 1e9,
+            global_retention: 0.0,
+        };
+        cfg.regional.framework.spectral.fallback.inject_failures = 1;
+        let mut engine = StreamEngine::new(graph, cfg).unwrap();
+        // Regions of 4+ segments (above k_per_region = 2) are solved.
+        let live = Partition::from_labels(engine.store().read().labels());
+        let solved = live.groups().iter().filter(|g| g.len() >= 4).count();
+        assert!(solved > 1, "the plateaus give several solvable regions");
+        for _ in 0..3 {
+            engine.ingest(&flipped(n)).unwrap();
+        }
+        let report = engine.run_epoch().unwrap();
+        assert_eq!(report.action, EpochAction::Regional);
+        let events = &report.resilience.recoveries.events;
+        let ok: Vec<bool> = events.iter().map(|e| e.succeeded).collect();
+        assert_eq!(ok.iter().filter(|&&s| !s).count(), solved, "{ok:?}");
+        // Region by region, each failure is followed by its rescue.
+        assert!(ok.windows(2).all(|w| w[0] || w[1]) && ok[ok.len() - 1]);
+    }
+
+    #[test]
     fn warm_global_rebuilds_recycle_the_workspace() {
         let graph = plateau_graph(3);
         let mut cfg = EngineConfig::new(3);
@@ -700,10 +737,11 @@ mod tests {
         let flipped = flipped(n);
         // Two warm solves on the same densities let the buffer working set
         // stabilize; the third must then be served entirely from the pool.
-        let _ = engine.global_repartition(&flipped).unwrap();
-        let _ = engine.global_repartition(&flipped).unwrap();
+        let (spectral, log) = (engine.cfg.spectral.clone(), &mut RecoveryLog::new());
+        let _ = engine.global_repartition(&flipped, &spectral, log).unwrap();
+        let _ = engine.global_repartition(&flipped, &spectral, log).unwrap();
         let warm_fresh = engine.workspace.fresh_allocations();
-        let _ = engine.global_repartition(&flipped).unwrap();
+        let _ = engine.global_repartition(&flipped, &spectral, log).unwrap();
         assert_eq!(
             engine.workspace.fresh_allocations(),
             warm_fresh,

@@ -17,6 +17,7 @@
 
 use crate::drift::EpochAction;
 use crate::error::{Result, StreamError};
+use roadpart_linalg::RecoveryLog;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -324,6 +325,11 @@ pub struct EpochResilience {
     pub dropped: usize,
     /// Sources quarantined at the epoch boundary.
     pub quarantined_sources: Vec<String>,
+    /// Eigensolver attempts of the attempt that published (a global rebuild's,
+    /// or each solved region's in region order; empty when nothing was). A
+    /// failed event is a solve the fallback ladder rescued.
+    #[serde(default)]
+    pub recoveries: RecoveryLog,
 }
 
 #[cfg(test)]

@@ -194,5 +194,6 @@ mod tests {
         assert_eq!(back.health, HealthState::Healthy);
         assert!(!back.resilience.degraded);
         assert!(back.resilience.attempts.is_empty());
+        assert!(back.resilience.recoveries.events.is_empty());
     }
 }
