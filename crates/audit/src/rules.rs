@@ -106,7 +106,6 @@ pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("roadpart-stream", "run_epoch"),
     ("roadpart-stream", "ingest"),
     ("roadpart-stream", "ingest_guarded"),
-    ("roadpart-stream", "ingest_history"),
     // Partition-aware query serving.
     ("roadpart-serve", "query"),
     ("roadpart-serve", "query_with"),

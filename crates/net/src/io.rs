@@ -43,11 +43,23 @@ pub fn write_network<W: Write>(net: &RoadNetwork, w: W) -> Result<()> {
     Ok(())
 }
 
+/// Parses one finite number: `NaN`, `inf` and literals beyond `f64` range
+/// (`1e400`) are malformed in a network file.
+fn finite(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| v.is_finite())
+}
+
 /// Deserializes a network from the plain-text format.
 ///
+/// The `intersections` and `segments` counts are the file's own claims, so
+/// nothing is sized from them: the vectors grow as records arrive, and a
+/// count the records do not back ends in [`NetError::Parse`] at end of
+/// file instead of an allocation of the claimed size.
+///
 /// # Errors
-/// Returns [`NetError::Parse`] with a line number on malformed input, plus
-/// the usual network-validation failures.
+/// Returns [`NetError::Parse`] with a line number on malformed input
+/// (including non-finite numbers), plus the usual network-validation
+/// failures.
 pub fn read_network<R: Read>(r: R) -> Result<RoadNetwork> {
     let reader = BufReader::new(r);
     let mut lines = reader.lines().enumerate();
@@ -80,17 +92,17 @@ pub fn read_network<R: Read>(r: R) -> Result<RoadNetwork> {
         .strip_prefix("intersections ")
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| parse_err(no, "expected 'intersections <count>'"))?;
-    let mut intersections = Vec::with_capacity(n_int);
+    let mut intersections = Vec::new();
     for _ in 0..n_int {
         let (no, line) = next_line("intersection coordinates")?;
         let mut it = line.split_whitespace();
-        let x: f64 = it
+        let x = it
             .next()
-            .and_then(|s| s.parse().ok())
+            .and_then(finite)
             .ok_or_else(|| parse_err(no, "bad x coordinate"))?;
-        let y: f64 = it
+        let y = it
             .next()
-            .and_then(|s| s.parse().ok())
+            .and_then(finite)
             .ok_or_else(|| parse_err(no, "bad y coordinate"))?;
         intersections.push(Intersection { x, y });
     }
@@ -100,7 +112,7 @@ pub fn read_network<R: Read>(r: R) -> Result<RoadNetwork> {
         .strip_prefix("segments ")
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| parse_err(no, "expected 'segments <count>'"))?;
-    let mut segments = Vec::with_capacity(n_seg);
+    let mut segments = Vec::new();
     for _ in 0..n_seg {
         let (no, line) = next_line("segment record")?;
         let fields: Vec<&str> = line.split_whitespace().collect();
@@ -108,8 +120,7 @@ pub fn read_network<R: Read>(r: R) -> Result<RoadNetwork> {
             return Err(parse_err(no, "expected 5 fields per segment"));
         }
         let parse_f = |s: &str, what: &str| -> Result<f64> {
-            s.parse()
-                .map_err(|_| parse_err(no, &format!("bad {what}: {s}")))
+            finite(s).ok_or_else(|| parse_err(no, &format!("bad {what}: {s}")))
         };
         let from: u32 = fields[0]
             .parse()

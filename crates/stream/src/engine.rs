@@ -3,10 +3,10 @@
 //! Lifecycle per epoch:
 //!
 //! 1. the caller [`ingest`](StreamEngine::ingest)s density updates as they
-//!    arrive (any number per epoch, including zero); untrusted feeds go
-//!    through [`ingest_guarded`](StreamEngine::ingest_guarded), which
-//!    sanitizes anomalies and quarantines sources that keep sending
-//!    garbage instead of poisoning the aggregate;
+//!    arrive (any number per epoch, including zero), each checked by
+//!    [`DensityAggregator::push`]; untrusted feeds go through
+//!    [`ingest_guarded`](StreamEngine::ingest_guarded), which repairs
+//!    anomalies and quarantines sources that keep sending garbage;
 //! 2. [`run_epoch`](StreamEngine::run_epoch) reduces the feed to one
 //!    aggregate density per segment, probes drift against the baseline
 //!    captured at the last refresh, and acts:
@@ -32,7 +32,7 @@
 //! global rebuild after modest drift converges in a fraction of the cold
 //! iteration count.
 
-use crate::aggregate::{AggregateKind, DensityAggregator};
+use crate::aggregate::{check_densities, AggregateKind, DensityAggregator};
 use crate::drift::{DriftPolicy, DriftProbe, EpochAction};
 use crate::error::{Result, StreamError};
 use crate::health::{
@@ -51,7 +51,6 @@ use roadpart_cut::{
 use roadpart_eval::PartitionDrift;
 use roadpart_linalg::{LinalgError, RecoveryLog, Workspace};
 use roadpart_net::RoadGraph;
-use roadpart_traffic::DensityHistory;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,7 +69,7 @@ pub struct EngineConfig {
     pub spectral: SpectralConfig,
     /// Settings for regional refreshes (`core::distributed`).
     pub regional: DistributedConfig,
-    /// Self-healing knobs: deadlines, retries, quarantine thresholds.
+    /// Self-healing knobs: deadlines, retries, staleness detection.
     pub resilience: ResilienceConfig,
 }
 
@@ -131,9 +130,6 @@ pub struct StreamEngine {
     /// eigensolve; warmed by the initial build, so steady-state epochs run
     /// the spectral hot loops allocation-free.
     workspace: Workspace,
-    /// Retained buffer the per-epoch aggregate is written into
-    /// (recycled against `baseline` at each refresh).
-    agg_scratch: Vec<f64>,
     epoch: u64,
     /// Per-source quarantine state for [`Self::ingest_guarded`].
     quarantine: QuarantineTracker,
@@ -153,7 +149,10 @@ impl StreamEngine {
     /// # Errors
     /// Returns [`StreamError::InvalidConfig`] for `k == 0`, `k` above the
     /// segment count, inconsistent drift thresholds, or invalid resilience
-    /// settings; propagates initial partitioning failures.
+    /// settings; [`StreamError::InvalidUpdate`] when the graph's features
+    /// (the first baseline) hold a NaN, infinite or negative density — the
+    /// check every ingested update passes; propagates initial partitioning
+    /// failures.
     pub fn new(graph: RoadGraph, cfg: EngineConfig) -> Result<Self> {
         let n = graph.node_count();
         if cfg.k == 0 || cfg.k > n {
@@ -165,6 +164,7 @@ impl StreamEngine {
         cfg.policy.validate()?;
         cfg.resilience.validate()?;
         let aggregator = DensityAggregator::new(n, cfg.aggregate)?;
+        check_densities(graph.features(), n)?;
         let baseline = graph.features().to_vec();
         let mut engine = Self {
             cfg,
@@ -174,7 +174,6 @@ impl StreamEngine {
             baseline,
             artifacts: None,
             workspace: Workspace::new(),
-            agg_scratch: Vec::new(),
             epoch: 0,
             quarantine: QuarantineTracker::new(),
             epoch_ingest: IngestCounters::default(),
@@ -225,7 +224,9 @@ impl StreamEngine {
     /// Ingests one per-segment density snapshot from a trusted feed.
     ///
     /// # Errors
-    /// Returns [`StreamError::InvalidUpdate`] on malformed snapshots.
+    /// Returns [`StreamError::InvalidUpdate`] for a snapshot of the wrong
+    /// length or holding a NaN, infinite or negative value, naming the
+    /// first bad segment; nothing is ingested.
     pub fn ingest(&mut self, densities: &[f64]) -> Result<()> {
         self.aggregator.push(densities)?;
         self.epoch_ingest.accepted += 1;
@@ -236,10 +237,9 @@ impl StreamEngine {
     /// `core::sanitize` instead of rejecting outright: NaN/infinite values
     /// are replaced with the snapshot median, negatives are clamped to
     /// zero, and short/long snapshots are padded/truncated. Repaired and
-    /// unrepairable snapshots count as strikes against `source`; after
-    /// [`ResilienceConfig::quarantine_threshold`] consecutive strikes the
-    /// source is quarantined and its snapshots are dropped until it
-    /// delivers [`ResilienceConfig::rehab_clean`] consecutive clean ones.
+    /// unrepairable snapshots count as strikes against `source`; after three
+    /// consecutive strikes the source is quarantined and its snapshots are
+    /// dropped until it delivers two consecutive clean ones.
     /// With [`ResilienceConfig::stale_after`] set, bit-identical repeats
     /// are treated as a stuck sensor and dropped the same way.
     ///
@@ -285,16 +285,6 @@ impl StreamEngine {
         }
     }
 
-    /// Replays every snapshot of a recorded history into the feed.
-    ///
-    /// # Errors
-    /// Same as [`Self::ingest`].
-    pub fn ingest_history(&mut self, history: &DensityHistory) -> Result<()> {
-        self.aggregator.push_history(history)?;
-        self.epoch_ingest.accepted += history.len();
-        Ok(())
-    }
-
     /// Closes the current epoch: aggregate, probe, act, publish.
     ///
     /// The intended action can *degrade* down the ladder Global → Regional
@@ -330,17 +320,11 @@ impl StreamEngine {
             });
         }
 
-        // The aggregate lands in the retained scratch buffer; on refresh it
-        // becomes the new baseline and the old baseline's allocation is
-        // recycled as the next epoch's scratch, so the steady state moves
-        // buffers instead of allocating them.
-        let mut current = std::mem::take(&mut self.agg_scratch);
-        if !self.aggregator.current_into(&mut current) {
-            self.agg_scratch = current;
+        let Some(current) = self.aggregator.current() else {
             return Err(StreamError::InvalidUpdate(
                 "epoch with no density updates ever ingested".into(),
             ));
-        }
+        };
         self.epoch += 1;
         let live = self.store.read();
         let probe = DriftProbe::measure(live.labels(), &self.baseline, &current)?;
@@ -383,7 +367,6 @@ impl StreamEngine {
                         resilience.deadline_blown = true;
                         match self.cfg.resilience.deadline_mode {
                             DeadlineMode::Fail => {
-                                self.agg_scratch = current;
                                 return Err(StreamError::DeadlineExceeded {
                                     budget_ms: budget,
                                     elapsed_ms: elapsed,
@@ -426,7 +409,6 @@ impl StreamEngine {
                             // Structural failure: another seed or a cheaper
                             // rung cannot fix a bug — propagate. The store
                             // is untouched.
-                            self.agg_scratch = current;
                             return Err(e);
                         }
                         if attempt + 1 == max_attempts {
@@ -439,14 +421,10 @@ impl StreamEngine {
             }
         }
 
-        if executed == EpochAction::NoOp {
-            // Served on (either intended, or fully degraded): the aggregate
-            // buffer goes back to scratch and the baseline stands.
-            self.agg_scratch = current;
-        } else {
-            // Refreshed: the aggregate becomes the new baseline and the old
-            // baseline's allocation is recycled as next epoch's scratch.
-            self.agg_scratch = std::mem::replace(&mut self.baseline, current);
+        // A refresh makes the aggregate the new baseline; a no-op (intended
+        // or fully degraded) keeps the old one.
+        if executed != EpochAction::NoOp {
+            self.baseline = current;
         }
 
         resilience.degraded = executed != intended;
@@ -764,8 +742,38 @@ mod tests {
         cfg.policy.noop_divergence = 2.0; // above global_divergence
         assert!(StreamEngine::new(plateau_graph(2), cfg).is_err());
         let mut cfg = EngineConfig::new(2);
-        cfg.resilience.quarantine_threshold = 0;
+        cfg.resilience.epoch_budget_ms = Some(-1.0);
         assert!(StreamEngine::new(plateau_graph(2), cfg).is_err());
+    }
+
+    /// The message of a [`StreamError::InvalidUpdate`]; panics on anything
+    /// else.
+    fn invalid_update<T: std::fmt::Debug>(result: Result<T>) -> String {
+        match result {
+            Err(StreamError::InvalidUpdate(m)) => m,
+            other => panic!("expected InvalidUpdate, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn anomalous_densities_are_rejected_where_they_enter() {
+        let graph = plateau_graph(2);
+        let (adj, mut feed) = (graph.adjacency().clone(), graph.features().to_vec());
+        feed[3] = -0.1;
+        let mut engine = StreamEngine::new(graph, EngineConfig::new(2)).unwrap();
+        for _ in 0..3 {
+            assert_eq!(
+                invalid_update(engine.ingest(&feed)),
+                "density[3] is negative"
+            );
+        }
+        // The graph's features are the first baseline: the same check.
+        for (bad, kind) in [(-0.1, "negative"), (f64::NAN, "NaN")] {
+            feed[3] = bad;
+            let graph = RoadGraph::from_parts(adj.clone(), feed.clone(), vec![]).unwrap();
+            let msg = invalid_update(StreamEngine::new(graph, EngineConfig::new(2)));
+            assert_eq!(msg, format!("density[3] is {kind}"));
+        }
     }
 
     #[test]

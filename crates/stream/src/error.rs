@@ -7,7 +7,7 @@ use std::fmt;
 pub enum StreamError {
     /// Configuration violates a documented precondition.
     InvalidConfig(String),
-    /// A density update is structurally unusable (wrong length, non-finite).
+    /// A density update is unusable (wrong length, NaN, infinite, negative).
     InvalidUpdate(String),
     /// The epoch wall-clock budget expired under
     /// [`crate::health::DeadlineMode::Fail`] before the intended action ran.

@@ -7,8 +7,8 @@
 //!
 //! * [`ResilienceConfig`] — the per-epoch deadline budget, the bounded
 //!   retry budget for solver failures (retried with the batch supervisor's
-//!   seed rotation, `roadpart::rotated_seed`), and the quarantine
-//!   thresholds;
+//!   seed rotation, `roadpart::rotated_seed`), and the opt-in staleness
+//!   check;
 //! * [`QuarantineTracker`] — per-source accounting of clean, repaired, and
 //!   dropped snapshots, quarantining sources that keep sending garbage and
 //!   rehabilitating them after sustained clean behaviour;
@@ -76,12 +76,6 @@ pub struct ResilienceConfig {
     /// Extra attempts per ladder rung after the first, for retryable
     /// (numerical) solver failures. `0` degrades on the first failure.
     pub max_retries: usize,
-    /// Consecutive malformed snapshots (repaired, empty, or stale) after
-    /// which a source is quarantined.
-    pub quarantine_threshold: usize,
-    /// Consecutive clean snapshots a quarantined source must deliver to be
-    /// released.
-    pub rehab_clean: usize,
     /// Consecutive bit-identical snapshots after which a source counts as
     /// stale (a stuck sensor). `0` disables staleness detection.
     pub stale_after: usize,
@@ -93,8 +87,6 @@ impl Default for ResilienceConfig {
             epoch_budget_ms: None,
             deadline_mode: DeadlineMode::Degrade,
             max_retries: 2,
-            quarantine_threshold: 3,
-            rehab_clean: 2,
             stale_after: 0,
         }
     }
@@ -105,7 +97,7 @@ impl ResilienceConfig {
     ///
     /// # Errors
     /// Returns [`StreamError::InvalidConfig`] for negative or non-finite
-    /// budgets, or zero quarantine/rehab thresholds.
+    /// budgets.
     pub fn validate(&self) -> Result<()> {
         if let Some(b) = self.epoch_budget_ms {
             if !b.is_finite() || b < 0.0 {
@@ -113,16 +105,6 @@ impl ResilienceConfig {
                     "epoch budget must be finite and >= 0 ms, got {b}"
                 )));
             }
-        }
-        if self.quarantine_threshold == 0 {
-            return Err(StreamError::InvalidConfig(
-                "quarantine threshold must be >= 1".into(),
-            ));
-        }
-        if self.rehab_clean == 0 {
-            return Err(StreamError::InvalidConfig(
-                "rehab threshold must be >= 1".into(),
-            ));
         }
         Ok(())
     }
@@ -181,9 +163,9 @@ fn fingerprint(densities: &[f64]) -> u64 {
 /// Per-source quarantine state machine.
 ///
 /// A source accumulates a *strike* for every malformed snapshot (one that
-/// needed repair, could not be repaired, or is stale); `quarantine_threshold`
-/// consecutive strikes quarantine it, after which everything it sends is
-/// dropped until it delivers `rehab_clean` consecutive clean snapshots.
+/// needed repair, could not be repaired, or is stale); three consecutive
+/// strikes quarantine it, after which everything it sends is dropped until
+/// it delivers two consecutive clean snapshots.
 #[derive(Debug, Clone, Default)]
 pub struct QuarantineTracker {
     sources: BTreeMap<String, SourceStats>,
@@ -199,6 +181,14 @@ pub(crate) enum TrackDisposition {
     /// Drop (quarantined source, stale, or unrepairable).
     Drop,
 }
+
+/// Consecutive malformed snapshots (repaired, empty, or stale) after which
+/// a source is quarantined.
+const QUARANTINE_THRESHOLD: usize = 3;
+
+/// Consecutive clean snapshots a quarantined source must deliver to be
+/// released.
+const REHAB_CLEAN: usize = 2;
 
 impl QuarantineTracker {
     /// An empty tracker.
@@ -258,7 +248,7 @@ impl QuarantineTracker {
         if malformed {
             stats.consecutive_clean = 0;
             stats.consecutive_malformed += 1;
-            if stats.consecutive_malformed >= cfg.quarantine_threshold {
+            if stats.consecutive_malformed >= QUARANTINE_THRESHOLD {
                 stats.quarantined = true;
             }
         } else {
@@ -269,7 +259,7 @@ impl QuarantineTracker {
         if stats.quarantined {
             // Rehabilitation: sustained clean behaviour releases the source;
             // the releasing snapshot itself is accepted.
-            if !malformed && stats.consecutive_clean >= cfg.rehab_clean {
+            if !malformed && stats.consecutive_clean >= REHAB_CLEAN {
                 stats.quarantined = false;
                 stats.accepted += 1;
                 return TrackDisposition::AcceptClean;
@@ -356,14 +346,6 @@ mod tests {
                 epoch_budget_ms: Some(f64::NAN),
                 ..cfg()
             },
-            ResilienceConfig {
-                quarantine_threshold: 0,
-                ..cfg()
-            },
-            ResilienceConfig {
-                rehab_clean: 0,
-                ..cfg()
-            },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} should be rejected");
         }
@@ -371,7 +353,7 @@ mod tests {
 
     #[test]
     fn repeated_strikes_quarantine_and_clean_streak_rehabilitates() {
-        let c = cfg(); // threshold 3, rehab 2
+        let c = cfg(); // QUARANTINE_THRESHOLD 3, REHAB_CLEAN 2
         let mut q = QuarantineTracker::new();
         // Distinct repaired snapshots: three strikes.
         assert_eq!(

@@ -5,9 +5,10 @@
 //! changing congestion measures with respect to time") grown into a
 //! long-lived component:
 //!
-//! * [`aggregate::DensityAggregator`] — ingests per-segment density updates
-//!   into sliding-window / EWMA aggregates (delegating the math to
-//!   `roadpart-traffic`'s `DensityHistory` accessors);
+//! * [`aggregate::DensityAggregator`] — the one gate every streamed density
+//!   passes (a wrong length or a NaN, infinite or negative value is
+//!   rejected), folding accepted updates into a latest / sliding-window /
+//!   EWMA aggregate that keeps only the running state its kind reads;
 //! * [`drift`] — cheap per-epoch drift probes (per-partition density
 //!   divergence + trial-clustering NMI) mapped by a [`drift::DriftPolicy`]
 //!   to *no-op*, *regional refresh*, or *global rebuild*;

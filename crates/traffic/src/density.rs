@@ -1,64 +1,18 @@
 //! Per-segment traffic density time series.
 
-use crate::error::TrafficError;
 use serde::{Deserialize, Serialize};
-
-/// Anomaly counts for one density snapshot, computed when the snapshot is
-/// recorded. Real telemetry feeds deliver NaNs (sensor dropouts), infinities
-/// (unit bugs), and negative readings (calibration drift); aggregating any
-/// of them silently poisons every downstream mean, so the history flags
-/// them at the door instead.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct StepAnomalies {
-    /// Values that are NaN or ±infinity.
-    pub non_finite: usize,
-    /// Finite values below zero.
-    pub negative: usize,
-}
-
-impl StepAnomalies {
-    /// Scans one snapshot.
-    pub fn of(densities: &[f64]) -> Self {
-        let mut a = Self::default();
-        for &d in densities {
-            if !d.is_finite() {
-                a.non_finite += 1;
-            } else if d < 0.0 {
-                a.negative += 1;
-            }
-        }
-        a
-    }
-
-    /// True when the snapshot contained only finite, non-negative values.
-    #[inline]
-    pub fn is_clean(&self) -> bool {
-        self.non_finite == 0 && self.negative == 0
-    }
-
-    /// Total anomalous values in the snapshot.
-    #[inline]
-    pub fn total(&self) -> usize {
-        self.non_finite + self.negative
-    }
-}
 
 /// Densities (vehicles per metre) for every segment at every recorded
 /// timestep — the quantity the partitioning framework consumes.
 ///
-/// Snapshots are scanned for anomalies (non-finite or negative values) on
-/// entry: [`Self::push`] records them but flags the step, [`Self::try_push`]
-/// rejects them outright, and the aggregation accessors
-/// ([`Self::window_mean`], [`Self::ewma`]) skip flagged steps so one corrupt
-/// reading cannot poison the aggregate the repartitioner consumes.
+/// A plain record of what a producer (the microsimulation, MNTG, a
+/// scenario replay) generated: it stores snapshots as given and checks only
+/// their length. Consumers check values where they enter — the stream
+/// engine's `DensityAggregator::push`, the supervisor's sanitizer.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DensityHistory {
     n_segments: usize,
     steps: Vec<Vec<f64>>,
-    /// Parallel to `steps`; absent entries (older serialized histories)
-    /// are treated as clean.
-    #[serde(default)]
-    anomalies: Vec<StepAnomalies>,
 }
 
 impl DensityHistory {
@@ -67,53 +21,17 @@ impl DensityHistory {
         Self {
             n_segments,
             steps: Vec::new(),
-            anomalies: Vec::new(),
         }
     }
 
-    /// Appends one snapshot, flagging (but keeping) anomalous values — the
-    /// raw record stays faithful to the feed while the aggregation
-    /// accessors skip flagged steps.
+    /// Appends one snapshot.
     ///
     /// # Panics
     /// Panics if the snapshot length disagrees with `n_segments` (an
     /// internal-logic error, not a data error).
     pub fn push(&mut self, densities: Vec<f64>) {
         assert_eq!(densities.len(), self.n_segments, "snapshot length mismatch");
-        self.anomalies.push(StepAnomalies::of(&densities));
         self.steps.push(densities);
-    }
-
-    /// Appends one snapshot, rejecting malformed input instead of
-    /// panicking or flagging: empty snapshots, length mismatches, and any
-    /// non-finite or negative value are [`TrafficError::InvalidData`]. The
-    /// ingest path for untrusted feeds.
-    ///
-    /// # Errors
-    /// Returns [`TrafficError::InvalidData`] when the snapshot is empty,
-    /// has the wrong length, or contains non-finite / negative values; the
-    /// history is unchanged on error.
-    pub fn try_push(&mut self, densities: Vec<f64>) -> crate::error::Result<()> {
-        if densities.is_empty() {
-            return Err(TrafficError::InvalidData("empty density snapshot".into()));
-        }
-        if densities.len() != self.n_segments {
-            return Err(TrafficError::InvalidData(format!(
-                "snapshot has {} segments, history expects {}",
-                densities.len(),
-                self.n_segments
-            )));
-        }
-        let a = StepAnomalies::of(&densities);
-        if !a.is_clean() {
-            return Err(TrafficError::InvalidData(format!(
-                "snapshot contains {} non-finite and {} negative densities",
-                a.non_finite, a.negative
-            )));
-        }
-        self.anomalies.push(a);
-        self.steps.push(densities);
-        Ok(())
     }
 
     /// Number of recorded timesteps.
@@ -134,28 +52,10 @@ impl DensityHistory {
         self.n_segments
     }
 
-    /// Densities at timestep `t` — the raw record, flagged or not.
+    /// Densities at timestep `t`.
     #[inline]
     pub fn at(&self, t: usize) -> &[f64] {
         &self.steps[t]
-    }
-
-    /// Anomaly counts recorded for timestep `t`. Steps recorded before
-    /// anomaly tracking existed (deserialized histories) count as clean.
-    #[inline]
-    pub fn anomalies_at(&self, t: usize) -> StepAnomalies {
-        self.anomalies.get(t).copied().unwrap_or_default()
-    }
-
-    /// True when timestep `t` carried no anomalous values.
-    #[inline]
-    pub fn step_is_clean(&self, t: usize) -> bool {
-        self.anomalies_at(t).is_clean()
-    }
-
-    /// Number of timesteps flagged with at least one anomalous value.
-    pub fn flagged_steps(&self) -> usize {
-        self.anomalies.iter().filter(|a| !a.is_clean()).count()
     }
 
     /// Densities at the last recorded timestep, if any.
@@ -163,17 +63,7 @@ impl DensityHistory {
         self.steps.last().map(Vec::as_slice)
     }
 
-    /// Densities at the most recent *clean* timestep, if any — what a
-    /// consumer that must not see corrupt readings should serve from.
-    pub fn last_clean(&self) -> Option<&[f64]> {
-        (0..self.len())
-            .rev()
-            .find(|&t| self.step_is_clean(t))
-            .map(|t| self.at(t))
-    }
-
-    /// Mean density over segments at timestep `t` (raw, including any
-    /// flagged values).
+    /// Mean density over segments at timestep `t`.
     pub fn mean_at(&self, t: usize) -> f64 {
         let s = &self.steps[t];
         if s.is_empty() {
@@ -187,92 +77,6 @@ impl DensityHistory {
     /// "peak"), if any snapshots exist.
     pub fn peak_step(&self) -> Option<usize> {
         (0..self.len()).max_by(|&a, &b| self.mean_at(a).total_cmp(&self.mean_at(b)))
-    }
-
-    /// Per-segment mean over the clean snapshots among the trailing
-    /// `window` (all snapshots when fewer than `window` exist). `None` when
-    /// the history is empty, `window == 0`, or every snapshot in the window
-    /// is flagged — there is nothing trustworthy to average.
-    ///
-    /// This is the "sliding window" aggregate the online engine feeds into
-    /// repartitioning: smoother than a single snapshot, but bounded-memory
-    /// and responsive to recent change. Flagged snapshots are excluded so a
-    /// burst of corrupt telemetry cannot drag the aggregate to NaN.
-    pub fn window_mean(&self, window: usize) -> Option<Vec<f64>> {
-        let mut out = Vec::new();
-        self.window_mean_into(window, &mut out).then_some(out)
-    }
-
-    /// [`Self::window_mean`] writing into a caller-owned buffer instead of
-    /// allocating, returning `false` (with `out` cleared) in the `None`
-    /// cases. Feeding the same buffer back every tick — as the streaming
-    /// engine does once per epoch — makes the aggregate allocation-free
-    /// after the first call.
-    pub fn window_mean_into(&self, window: usize, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        if self.is_empty() || window == 0 {
-            return false;
-        }
-        let take = window.min(self.len());
-        let from = self.len() - take;
-        out.resize(self.n_segments, 0.0);
-        let mut used = 0usize;
-        for t in from..self.len() {
-            if !self.step_is_clean(t) {
-                continue;
-            }
-            for (m, &v) in out.iter_mut().zip(&self.steps[t]) {
-                *m += v;
-            }
-            used += 1;
-        }
-        if used == 0 {
-            out.clear();
-            return false;
-        }
-        let inv = 1.0 / used as f64;
-        out.iter_mut().for_each(|m| *m *= inv);
-        true
-    }
-
-    /// Per-segment exponentially weighted moving average over the clean
-    /// snapshots of the whole history: `ewma_t = alpha * x_t + (1 - alpha)
-    /// * ewma_{t-1}`, seeded with the first clean snapshot. `None` when no
-    /// clean snapshot exists or `alpha` is outside `(0, 1]`.
-    ///
-    /// Higher `alpha` tracks the feed more closely; lower `alpha` smooths
-    /// harder. `alpha == 1` degenerates to [`Self::last_clean`].
-    pub fn ewma(&self, alpha: f64) -> Option<Vec<f64>> {
-        let mut out = Vec::new();
-        self.ewma_into(alpha, &mut out).then_some(out)
-    }
-
-    /// [`Self::ewma`] writing into a caller-owned buffer instead of
-    /// allocating, returning `false` (with `out` cleared) in the `None`
-    /// cases. See [`Self::window_mean_into`] for the reuse rationale.
-    pub fn ewma_into(&self, alpha: f64, out: &mut Vec<f64>) -> bool {
-        out.clear();
-        if !(alpha > 0.0 && alpha <= 1.0) {
-            return false;
-        }
-        let mut seeded = false;
-        for t in 0..self.len() {
-            if !self.step_is_clean(t) {
-                continue;
-            }
-            if !seeded {
-                out.extend_from_slice(&self.steps[t]);
-                seeded = true;
-            } else {
-                for (a, &v) in out.iter_mut().zip(&self.steps[t]) {
-                    *a += alpha * (v - *a);
-                }
-            }
-        }
-        if !seeded {
-            out.clear();
-        }
-        seeded
     }
 }
 
@@ -290,7 +94,6 @@ mod tests {
         assert_eq!(h.at(0), &[0.1, 0.2, 0.3]);
         assert_eq!(h.last().unwrap(), &[0.3, 0.3, 0.3]);
         assert!((h.mean_at(0) - 0.2).abs() < 1e-12);
-        assert_eq!(h.flagged_steps(), 0);
     }
 
     #[test]
@@ -308,116 +111,5 @@ mod tests {
     fn mismatched_snapshot_panics() {
         let mut h = DensityHistory::new(2);
         h.push(vec![0.1]);
-    }
-
-    #[test]
-    fn push_flags_anomalies_and_accessors_skip_them() {
-        let mut h = DensityHistory::new(2);
-        h.push(vec![1.0, 1.0]);
-        h.push(vec![f64::NAN, -3.0]);
-        h.push(vec![3.0, 3.0]);
-        assert_eq!(h.flagged_steps(), 1);
-        assert!(!h.step_is_clean(1));
-        assert_eq!(
-            h.anomalies_at(1),
-            StepAnomalies {
-                non_finite: 1,
-                negative: 1
-            }
-        );
-        // Raw access still shows the flagged step; last_clean skips it.
-        assert!(h.at(1)[0].is_nan());
-        assert_eq!(h.last_clean().unwrap(), &[3.0, 3.0]);
-        // Aggregates exclude the flagged step, so they stay finite.
-        let m = h.window_mean(3).unwrap();
-        assert!((m[0] - 2.0).abs() < 1e-12 && (m[1] - 2.0).abs() < 1e-12);
-        let e = h.ewma(0.5).unwrap();
-        assert!((e[0] - 2.0).abs() < 1e-12, "1.0 -> 2.0, NaN step skipped");
-        // A window covering only the flagged step has nothing to average.
-        let mut poisoned = DensityHistory::new(2);
-        poisoned.push(vec![f64::INFINITY, 0.0]);
-        assert!(poisoned.window_mean(1).is_none());
-        assert!(poisoned.ewma(0.5).is_none());
-        assert!(poisoned.last_clean().is_none());
-    }
-
-    #[test]
-    fn try_push_rejects_malformed_snapshots() {
-        let mut h = DensityHistory::new(2);
-        assert!(h.try_push(vec![0.1, 0.2]).is_ok());
-        assert!(h.try_push(vec![]).is_err());
-        assert!(h.try_push(vec![0.1]).is_err());
-        assert!(h.try_push(vec![0.1, f64::NAN]).is_err());
-        assert!(h.try_push(vec![0.1, -0.2]).is_err());
-        assert_eq!(h.len(), 1, "rejected snapshots must not be recorded");
-        assert_eq!(h.flagged_steps(), 0);
-    }
-
-    #[test]
-    fn deserialized_histories_without_flags_count_as_clean() {
-        // Simulates data written before anomaly tracking existed.
-        let json = r#"{"n_segments":2,"steps":[[0.1,0.2],[0.3,0.4]]}"#;
-        let h: DensityHistory = serde_json::from_str(json).unwrap();
-        assert_eq!(h.len(), 2);
-        assert_eq!(h.flagged_steps(), 0);
-        assert!(h.step_is_clean(1));
-        assert_eq!(h.window_mean(2).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn window_mean_averages_trailing_snapshots() {
-        let mut h = DensityHistory::new(2);
-        h.push(vec![1.0, 0.0]);
-        h.push(vec![2.0, 2.0]);
-        h.push(vec![4.0, 4.0]);
-        // Last two snapshots only.
-        let m = h.window_mean(2).unwrap();
-        assert!((m[0] - 3.0).abs() < 1e-12 && (m[1] - 3.0).abs() < 1e-12);
-        // Window longer than the history: everything.
-        let m = h.window_mean(10).unwrap();
-        assert!((m[0] - 7.0 / 3.0).abs() < 1e-12);
-        // Window of one equals the last snapshot.
-        assert_eq!(h.window_mean(1).unwrap(), h.last().unwrap().to_vec());
-        // Degenerate inputs.
-        assert!(h.window_mean(0).is_none());
-        assert!(DensityHistory::new(2).window_mean(3).is_none());
-    }
-
-    #[test]
-    fn into_variants_reuse_buffer_and_match_allocating_api() {
-        let mut h = DensityHistory::new(2);
-        h.push(vec![1.0, 0.0]);
-        h.push(vec![2.0, 2.0]);
-        h.push(vec![4.0, 4.0]);
-        // A dirty, over-sized buffer must come back with exactly the result.
-        let mut buf = vec![9.0; 17];
-        assert!(h.window_mean_into(2, &mut buf));
-        assert_eq!(buf, h.window_mean(2).unwrap());
-        let cap = buf.capacity();
-        assert!(h.ewma_into(0.5, &mut buf));
-        assert_eq!(buf, h.ewma(0.5).unwrap());
-        assert_eq!(buf.capacity(), cap, "reuse must not reallocate");
-        // Failure cases clear the buffer instead of leaving stale data.
-        assert!(!h.window_mean_into(0, &mut buf));
-        assert!(buf.is_empty());
-        assert!(!h.ewma_into(0.0, &mut buf));
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn ewma_smooths_and_tracks() {
-        let mut h = DensityHistory::new(1);
-        h.push(vec![0.0]);
-        h.push(vec![1.0]);
-        h.push(vec![1.0]);
-        // alpha = 0.5: 0 -> 0.5 -> 0.75.
-        let e = h.ewma(0.5).unwrap();
-        assert!((e[0] - 0.75).abs() < 1e-12);
-        // alpha = 1 degenerates to the last snapshot.
-        assert_eq!(h.ewma(1.0).unwrap(), h.last().unwrap().to_vec());
-        // Invalid alpha / empty history.
-        assert!(h.ewma(0.0).is_none());
-        assert!(h.ewma(1.5).is_none());
-        assert!(DensityHistory::new(1).ewma(0.5).is_none());
     }
 }

@@ -14,9 +14,6 @@ pub enum TrafficError {
     },
     /// Configuration violates a documented precondition.
     InvalidConfig(String),
-    /// A density sample violated the data contract (empty, wrong length,
-    /// non-finite or negative values).
-    InvalidData(String),
     /// Underlying network error.
     Net(roadpart_net::NetError),
 }
@@ -28,7 +25,6 @@ impl fmt::Display for TrafficError {
                 write!(f, "no route from intersection {from} to {to}")
             }
             TrafficError::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
-            TrafficError::InvalidData(msg) => write!(f, "invalid data: {msg}"),
             TrafficError::Net(e) => write!(f, "network error: {e}"),
         }
     }

@@ -29,7 +29,7 @@ pub mod routing;
 pub mod scenario;
 pub mod trip;
 
-pub use density::{DensityHistory, StepAnomalies};
+pub use density::DensityHistory;
 pub use error::{Result, TrafficError};
 pub use field::{CongestionField, Hotspot};
 pub use microsim::{simulate, MicrosimConfig, MicrosimStats};

@@ -2,9 +2,7 @@
 
 use proptest::prelude::*;
 use roadpart_net::{IntersectionId, RoadNetworkBuilder};
-use roadpart_traffic::{
-    simulate, DensityHistory, MicrosimConfig, Router, StepAnomalies, TemporalProfile, Trip,
-};
+use roadpart_traffic::{simulate, MicrosimConfig, Router, TemporalProfile, Trip};
 
 /// Random small strongly-connected-ish network: a two-way line backbone
 /// plus random one-way chords.
@@ -140,69 +138,6 @@ proptest! {
         prop_assert_eq!(s1.departed, s2.departed);
         for t in 0..h1.len() {
             prop_assert_eq!(h1.at(t), h2.at(t));
-        }
-    }
-
-    /// Density-history hardening: arbitrary mixes of clean, NaN-bearing,
-    /// infinite, and negative snapshots never produce a non-finite or
-    /// negative aggregate; `try_push` accepts exactly the clean non-empty
-    /// snapshots; flag counts match a direct scan.
-    #[test]
-    fn density_history_quarantines_anomalies(
-        snaps in proptest::collection::vec(
-            proptest::collection::vec(
-                prop_oneof![
-                    4 => 0.0f64..2.0,
-                    1 => Just(f64::NAN),
-                    1 => Just(f64::INFINITY),
-                    1 => Just(f64::NEG_INFINITY),
-                    1 => -2.0f64..0.0,
-                ],
-                3,
-            ),
-            0..12,
-        ),
-        window in 1usize..8,
-        alpha in 0.05f64..1.0,
-    ) {
-        let mut flagged = DensityHistory::new(3);
-        let mut strict = DensityHistory::new(3);
-        let mut expect_clean = 0usize;
-        for s in &snaps {
-            let scan = StepAnomalies::of(s);
-            prop_assert_eq!(
-                scan.total(),
-                s.iter().filter(|d| !d.is_finite() || **d < 0.0).count()
-            );
-            flagged.push(s.to_vec());
-            let accepted = strict.try_push(s.to_vec()).is_ok();
-            prop_assert_eq!(accepted, scan.is_clean());
-            if scan.is_clean() {
-                expect_clean += 1;
-            }
-        }
-        prop_assert_eq!(flagged.len(), snaps.len());
-        prop_assert_eq!(strict.len(), expect_clean);
-        prop_assert_eq!(flagged.flagged_steps(), snaps.len() - expect_clean);
-        // Empty snapshots are rejected regardless of content.
-        prop_assert!(DensityHistory::new(0).try_push(vec![]).is_err());
-        // Aggregates either refuse (no clean data in scope) or come back sane.
-        match flagged.window_mean(window) {
-            Some(v) => prop_assert!(v.iter().all(|d| d.is_finite() && *d >= 0.0)),
-            None => {
-                let take = window.min(flagged.len());
-                let clean_in_window = (flagged.len() - take..flagged.len())
-                    .filter(|&t| flagged.step_is_clean(t))
-                    .count();
-                prop_assert_eq!(clean_in_window, 0);
-            }
-        }
-        match flagged.ewma(alpha) {
-            Some(v) => prop_assert!(v.iter().all(|d| d.is_finite() && *d >= 0.0)),
-            None => prop_assert_eq!(flagged.flagged_steps(), flagged.len()),
-        }
-        if let Some(lc) = flagged.last_clean() {
-            prop_assert!(lc.iter().all(|d| d.is_finite() && *d >= 0.0));
         }
     }
 

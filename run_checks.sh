@@ -47,6 +47,10 @@ step parallel-diff env ROADPART_THREADS=4 \
 # run, whose internal validity checks (replays complete, metrics finite,
 # disruptions detected) gate the exit code.
 step disruption-replay cargo test -q -p roadpart-stream --test integration_disruption
+# The CI strict-invariants job: release-mode tests with the stage and
+# epoch-boundary validators compiled in (debug builds always have them).
+step strict-invariants cargo test -q --release -p roadpart -p roadpart-stream \
+  --features roadpart-stream/strict-invariants
 step drift-smoke cargo run -q --release -p roadpart-bench --bin drift_bench -- --smoke
 step drift-json  test -s target/experiments/BENCH_drift.json
 # Serving-layer gates: the differential suite pins partition-aware routes

@@ -13,7 +13,7 @@ use roadpart_linalg::CsrMatrix;
 use roadpart_net::RoadGraph;
 use roadpart_stream::{EngineConfig, EpochAction, StreamEngine, StreamLog};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const PLATEAUS: usize = 6;
@@ -39,17 +39,23 @@ fn twelve_epoch_replay_obeys_the_serving_contract() {
 
     // Concurrent readers: every observed snapshot must be complete and
     // versions must never run backwards, no matter what the epoch loop is
-    // doing on the main thread.
+    // doing on the main thread. Each reader takes its first snapshot before
+    // the barrier the epoch loop waits on, so every reader reads at least
+    // once; it asserts only after the barrier, so a failing reader cannot
+    // leave the main thread waiting.
     let stop = Arc::new(AtomicBool::new(false));
+    let first_reads = Arc::new(Barrier::new(4));
     let readers: Vec<_> = (0..3)
         .map(|_| {
             let store = engine.store();
             let stop = Arc::clone(&stop);
+            let first_reads = Arc::clone(&first_reads);
             thread::spawn(move || {
+                let mut snap = store.read();
+                first_reads.wait();
                 let mut last = 0u64;
                 let mut observed = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    let snap = store.read();
+                loop {
                     assert_eq!(snap.len(), N, "incomplete snapshot served");
                     assert!(
                         snap.labels().iter().all(|&l| l < snap.k),
@@ -58,11 +64,16 @@ fn twelve_epoch_replay_obeys_the_serving_contract() {
                     assert!(snap.version >= last, "version ran backwards");
                     last = snap.version;
                     observed += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    snap = store.read();
                 }
                 observed
             })
         })
         .collect();
+    first_reads.wait();
 
     let mut log = StreamLog::new();
     for epoch in 0..12usize {
