@@ -98,14 +98,16 @@ pub const RULES: &[(&str, &str)] = &[
 /// [`GraphFindings::missing_roots`] (and pinned to empty by the audit
 /// self-test), so a rename cannot silently drop coverage.
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
-    // Offline pipeline (PAPER §3: the three-stage partitioning pipeline);
-    // the core crate's package name is plain `roadpart`.
+    // Offline pipeline (PAPER §3: the three-stage partitioning pipeline),
+    // k selection (`select-k`) and the JG baseline (`partition --scheme
+    // jg`); the core crate's package name is plain `roadpart`.
     ("roadpart", "partition_network"),
     ("roadpart", "run_supervised"),
+    ("roadpart", "select_k"),
+    ("roadpart", "jg_partition"),
     // Stream engine epoch loop and ingest surface.
     ("roadpart-stream", "run_epoch"),
     ("roadpart-stream", "ingest"),
-    ("roadpart-stream", "ingest_guarded"),
     // Partition-aware query serving.
     ("roadpart-serve", "query"),
     ("roadpart-serve", "query_with"),

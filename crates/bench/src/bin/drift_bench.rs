@@ -200,7 +200,6 @@ fn run_case(
             "active": active,
             "action": format!("{:?}", report.action),
             "intended": format!("{:?}", report.intended),
-            "health": report.health.label(),
             "degraded": report.resilience.degraded,
             "attempts": report.resilience.attempts.len(),
             "elapsed_ms": report.elapsed_ms,

@@ -54,8 +54,8 @@ surge, moving hotspot) on the trace before it reaches the engine.
 --budget-ms puts a wall-clock deadline on each epoch; when it is blown the
 engine degrades down the ladder global -> regional -> no-op (--deadline
 degrade, default) or fails the run (--deadline fail). --retries bounds the
-seed-rotating retries per ladder rung. Each epoch line carries the engine
-health (healthy / degraded / quarantining).
+seed-rotating retries per ladder rung. An epoch the ladder or the deadline
+forced below its intended action is marked \"(degraded from <action>)\".
 
 serve partitions the preset network, builds per-partition boundary-node
 distance oracles on a --threads pool, and answers shortest-path queries on
@@ -67,8 +67,8 @@ batch and the throughput/latency statistics are printed. An unreachable
 Every command rejects an unknown or repeated flag as a usage error.
 
 Exit codes: 0 ok, 2 config/usage error, 3 data error, 4 numerical error,
-5 epoch deadline exceeded (--deadline fail), 6 quarantine overflow,
-7 no route between --from and --to.";
+5 epoch deadline exceeded (--deadline fail), 7 no route between --from
+and --to.";
 
 /// Builds the named preset dataset.
 fn build_dataset(preset: &str, scale: f64, seed: u64) -> CliResult<Dataset> {
@@ -450,10 +450,9 @@ pub fn stream(argv: &[String]) -> CliResult<()> {
             notes.push_str(&format!(" ({} attempts)", report.resilience.attempts.len()));
         }
         println!(
-            "epoch {:>3}: {action:<8} {:<12} | divergence {:.3} retention {:.2} | \
+            "epoch {:>3}: {action:<8} | divergence {:.3} retention {:.2} | \
              v{} k = {} | {:.1} ms{notes}",
             report.epoch,
-            report.health.label(),
             report.probe.max_divergence,
             report.probe.retention(),
             report.version,
@@ -464,12 +463,11 @@ pub fn stream(argv: &[String]) -> CliResult<()> {
     }
 
     let (noop, regional, global) = log.action_counts();
-    let (healthy, degraded, quarantining) = log.health_counts();
     println!(
         "{} epochs: {noop} no-op, {regional} regional, {global} global | \
-         health: {healthy} healthy, {degraded} degraded, {quarantining} quarantining | \
-         final version {} | {:.1} ms total",
+         {} degraded | final version {} | {:.1} ms total",
         log.len(),
+        log.degraded_epochs(),
         store.read().version,
         log.total_ms()
     );

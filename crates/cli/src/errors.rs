@@ -13,8 +13,6 @@ pub const EXIT_DATA: u8 = 3;
 pub const EXIT_NUMERICAL: u8 = 4;
 /// Exit code for a blown epoch deadline under `--deadline fail`.
 pub const EXIT_DEADLINE: u8 = 5;
-/// Exit code for quarantine overflow (every update of an epoch dropped).
-pub const EXIT_QUARANTINE: u8 = 6;
 /// Exit code for an unreachable origin–destination query (`serve`).
 pub const EXIT_NOROUTE: u8 = 7;
 /// The failure class of a CLI error.
@@ -28,8 +26,6 @@ pub enum ErrorKind {
     Numerical,
     /// A streaming epoch blew its wall-clock budget in fail mode.
     Deadline,
-    /// Source quarantine dropped every update offered in an epoch.
-    Quarantine,
     /// A serve query's destination is unreachable from its origin.
     NoRoute,
 }
@@ -67,7 +63,6 @@ impl CliError {
             ErrorKind::Data => EXIT_DATA,
             ErrorKind::Numerical => EXIT_NUMERICAL,
             ErrorKind::Deadline => EXIT_DEADLINE,
-            ErrorKind::Quarantine => EXIT_QUARANTINE,
             ErrorKind::NoRoute => EXIT_NOROUTE,
         }
     }
@@ -144,7 +139,6 @@ impl From<roadpart_stream::StreamError> for CliError {
             SE::InvalidConfig(_) => ErrorKind::Config,
             SE::InvalidUpdate(_) => ErrorKind::Data,
             SE::DeadlineExceeded { .. } => ErrorKind::Deadline,
-            SE::QuarantineOverflow { .. } => ErrorKind::Quarantine,
             SE::Framework(inner) => return CliError::from_framework(inner),
         };
         Self {
@@ -209,15 +203,6 @@ mod tests {
         assert_eq!(deadline.kind, ErrorKind::Deadline);
         assert_eq!(deadline.exit_code(), EXIT_DEADLINE);
         assert!(format!("{deadline}").contains("deadline exceeded"));
-
-        let quarantine: CliError = SE::QuarantineOverflow {
-            sources: 2,
-            dropped: 7,
-        }
-        .into();
-        assert_eq!(quarantine.kind, ErrorKind::Quarantine);
-        assert_eq!(quarantine.exit_code(), EXIT_QUARANTINE);
-        assert!(format!("{quarantine}").contains("quarantine overflow"));
 
         let numerical: CliError = SE::Framework(RoadpartError::Linalg(
             roadpart_linalg::LinalgError::NotConverged {

@@ -16,7 +16,6 @@
 //! `0` success, `2` configuration/usage error, `3` data error (unreadable or
 //! unrepairable input), `4` numerical error (solver and clustering
 //! failures), `5` epoch deadline exceeded (`stream --deadline fail`),
-//! `6` quarantine overflow (every update of a streaming epoch dropped),
 //! `7` no route between the requested `serve --from`/`--to` pair.
 
 mod args;

@@ -8,7 +8,7 @@
 //! on its own subgraph, which caps the eigenproblem size at the region size
 //! and parallelizes trivially.
 
-use crate::error::Result;
+use crate::error::{Result, RoadpartError};
 use crate::schemes::{run_scheme, FrameworkConfig, Scheme};
 use roadpart_cut::Partition;
 use roadpart_linalg::RecoveryLog;
@@ -62,14 +62,21 @@ const MIN_VARIANCE_GAIN: f64 = 0.2;
 /// per-region results into one partitioning of the whole network.
 ///
 /// # Errors
-/// Propagates subgraph extraction and per-region scheme failures.
+/// Returns [`RoadpartError::InvalidData`] when `previous` does not label
+/// exactly the graph's segments, naming both lengths; propagates subgraph
+/// extraction and per-region scheme failures.
 pub fn repartition_regions(
     graph: &RoadGraph,
     previous: &Partition,
     cfg: &DistributedConfig,
 ) -> Result<DistributedOutcome> {
     let n = graph.node_count();
-    assert_eq!(previous.len(), n, "partition/graph size mismatch");
+    if previous.len() != n {
+        return Err(RoadpartError::InvalidData(format!(
+            "previous partition labels {} segments but the graph has {n}",
+            previous.len()
+        )));
+    }
     let mut labels = vec![0usize; n];
     let mut next_label = 0usize;
     let mut recovery = RecoveryLog::new();
@@ -214,5 +221,18 @@ mod tests {
         let out = repartition_regions(&graph, &prev, &cfg).unwrap();
         assert!((out.drift.nmi - 1.0).abs() < 1e-9);
         assert_eq!(out.partition.k(), prev.k());
+    }
+
+    #[test]
+    fn mismatched_previous_partition_is_an_error_not_a_panic() {
+        let (graph, _) = setup();
+        let prev = Partition::from_labels(&[0, 0, 1]);
+        match repartition_regions(&graph, &prev, &DistributedConfig::default()) {
+            Err(RoadpartError::InvalidData(msg)) => assert_eq!(
+                msg,
+                "previous partition labels 3 segments but the graph has 32"
+            ),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
     }
 }

@@ -43,12 +43,6 @@ impl PartitionDrift {
             k_after: count_k(after),
         }
     }
-
-    /// True when the structure is at least `min_nmi`-similar — the "nothing
-    /// worth reacting to" test used by epoch drift policies.
-    pub fn is_stable(&self, min_nmi: f64) -> bool {
-        self.nmi >= min_nmi
-    }
 }
 
 /// Per-group relative density divergence under a fixed labeling: for each
@@ -115,7 +109,6 @@ mod tests {
         assert!((d.rand_index - 1.0).abs() < 1e-12);
         assert_eq!(d.k_before, 3);
         assert_eq!(d.k_after, 3);
-        assert!(d.is_stable(0.99));
     }
 
     #[test]
@@ -124,7 +117,6 @@ mod tests {
         let b = [0, 1, 0, 1, 0, 1];
         let d = PartitionDrift::between(&a, &b);
         assert!(d.nmi < 0.2);
-        assert!(!d.is_stable(0.8));
     }
 
     #[test]

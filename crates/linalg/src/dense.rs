@@ -140,11 +140,6 @@ impl DenseMatrix {
         Ok(())
     }
 
-    /// Returns the transpose as a new matrix.
-    pub fn transpose(&self) -> Self {
-        Self::from_fn(self.cols, self.rows, |i, j| self.get(j, i))
-    }
-
     /// Maximum absolute asymmetry `max |A_ij - A_ji|`; `0.0` for non-square.
     pub fn asymmetry(&self) -> f64 {
         if self.rows != self.cols {
@@ -204,15 +199,6 @@ mod tests {
     #[test]
     fn from_vec_rejects_bad_length() {
         assert!(DenseMatrix::from_vec(2, 2, vec![0.0; 3]).is_err());
-    }
-
-    #[test]
-    fn transpose_roundtrip() {
-        let m = DenseMatrix::from_fn(2, 3, |i, j| (i * 3 + j) as f64);
-        let t = m.transpose();
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.get(2, 1), m.get(1, 2));
-        assert_eq!(t.transpose(), m);
     }
 
     #[test]

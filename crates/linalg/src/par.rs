@@ -89,12 +89,6 @@ impl ThreadPool {
         self.threads
     }
 
-    /// True when the pool executes inline without spawning.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
-
     /// Runs `f(index, task)` for every task and returns the results in
     /// task order.
     ///
@@ -454,7 +448,6 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_serial() {
         assert_eq!(ThreadPool::new(0).threads(), 1);
-        assert!(ThreadPool::new(0).is_serial());
     }
 
     #[test]

@@ -217,15 +217,6 @@ pub fn mean(a: &[f64]) -> f64 {
     }
 }
 
-/// Population variance around `mu`; `0.0` for an empty slice.
-#[inline]
-pub fn variance_around(a: &[f64], mu: f64) -> f64 {
-    if a.is_empty() {
-        return 0.0;
-    }
-    a.iter().map(|x| (x - mu) * (x - mu)).sum::<f64>() / a.len() as f64
-}
-
 /// `sqrt(a^2 + b^2)` without undue overflow or underflow.
 #[inline]
 pub fn hypot(a: f64, b: f64) -> f64 {
@@ -331,9 +322,7 @@ mod tests {
     fn mean_and_variance() {
         let a = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&a), 2.5);
-        assert!((variance_around(&a, 2.5) - 1.25).abs() < 1e-12);
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(variance_around(&[], 0.0), 0.0);
     }
 
     #[test]

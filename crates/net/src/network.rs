@@ -217,11 +217,6 @@ impl RoadNetwork {
         (0.5 * (a.x + b.x), 0.5 * (a.y + b.y))
     }
 
-    /// Total network length in metres.
-    pub fn total_length_m(&self) -> f64 {
-        self.segments.iter().map(|s| s.length_m).sum()
-    }
-
     /// Bounding-box area in square miles (matching the paper's Table 1 unit).
     pub fn area_sq_miles(&self) -> f64 {
         if self.intersections.is_empty() {
@@ -401,7 +396,6 @@ mod tests {
     fn geometry_helpers() {
         let net = tiny();
         assert_eq!(net.segment_midpoint(SegmentId(0)), (50.0, 0.0));
-        assert_eq!(net.total_length_m(), 300.0);
         assert!(net.is_weakly_connected());
     }
 

@@ -138,12 +138,6 @@ impl SegmentGraph {
         self.cost.is_empty()
     }
 
-    /// Number of transition edges.
-    #[inline]
-    pub fn edge_count(&self) -> usize {
-        self.fwd_target.len()
-    }
-
     /// Traversal cost of segment `u`.
     #[inline]
     pub fn cost(&self, u: u32) -> f64 {
@@ -216,7 +210,6 @@ mod tests {
         assert_eq!(g.predecessors(0), &[2]);
         assert_eq!(g.predecessors(1), &[0]);
         assert_eq!(g.predecessors(2), &[0]);
-        assert_eq!(g.edge_count(), 3);
     }
 
     #[test]

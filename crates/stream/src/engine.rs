@@ -4,9 +4,8 @@
 //!
 //! 1. the caller [`ingest`](StreamEngine::ingest)s density updates as they
 //!    arrive (any number per epoch, including zero), each checked by
-//!    [`DensityAggregator::push`]; untrusted feeds go through
-//!    [`ingest_guarded`](StreamEngine::ingest_guarded), which repairs
-//!    anomalies and quarantines sources that keep sending garbage;
+//!    [`DensityAggregator::push`] — a bad snapshot is refused with
+//!    [`StreamError::InvalidUpdate`] and never reaches the aggregate;
 //! 2. [`run_epoch`](StreamEngine::run_epoch) reduces the feed to one
 //!    aggregate density per segment, probes drift against the baseline
 //!    captured at the last refresh, and acts:
@@ -23,8 +22,8 @@
 //! per-epoch deadline ([`ResilienceConfig::epoch_budget_ms`]) is exhausted
 //! the intended action degrades down the ladder Global → Regional → NoOp —
 //! the engine keeps serving the last good snapshot rather than stalling the
-//! readers. Every epoch reports a [`HealthState`] summarizing whether that
-//! machinery had to engage.
+//! readers. Every epoch reports whether that machinery had to engage
+//! ([`EpochResilience::degraded`]).
 //!
 //! Warm starts make the expensive path cheap: the previous epoch's
 //! eigenvectors seed the Lanczos iteration and its centroids seed the
@@ -35,14 +34,10 @@
 use crate::aggregate::{check_densities, AggregateKind, DensityAggregator};
 use crate::drift::{DriftPolicy, DriftProbe, EpochAction};
 use crate::error::{Result, StreamError};
-use crate::health::{
-    DeadlineMode, EpochAttempt, EpochResilience, HealthState, IngestVerdict, QuarantineTracker,
-    ResilienceConfig, TrackDisposition,
-};
+use crate::health::{DeadlineMode, EpochAttempt, EpochResilience, ResilienceConfig};
 use crate::report::EpochReport;
 use crate::snapshot::PartitionStore;
 use roadpart::pipeline::STRICT_INVARIANTS;
-use roadpart::sanitize::{sanitize_densities, SanitizePolicy};
 use roadpart::{error_chain, repartition_regions, rotated_seed, DistributedConfig};
 use roadpart_cut::{
     gaussian_affinity_par, spectral_partition_warm_ws, CutKind, Partition, SpectralArtifacts,
@@ -69,7 +64,7 @@ pub struct EngineConfig {
     pub spectral: SpectralConfig,
     /// Settings for regional refreshes (`core::distributed`).
     pub regional: DistributedConfig,
-    /// Self-healing knobs: deadlines, retries, staleness detection.
+    /// Self-healing knobs: deadlines and retries.
     pub resilience: ResilienceConfig,
 }
 
@@ -106,14 +101,6 @@ impl EngineConfig {
     }
 }
 
-/// Updates accepted/repaired/dropped since the previous epoch boundary.
-#[derive(Debug, Clone, Copy, Default)]
-struct IngestCounters {
-    accepted: usize,
-    repaired: usize,
-    dropped: usize,
-}
-
 /// Long-lived online repartitioning engine over one road network.
 #[derive(Debug)]
 pub struct StreamEngine {
@@ -131,12 +118,8 @@ pub struct StreamEngine {
     /// the spectral hot loops allocation-free.
     workspace: Workspace,
     epoch: u64,
-    /// Per-source quarantine state for [`Self::ingest_guarded`].
-    quarantine: QuarantineTracker,
-    /// Ingest accounting since the last epoch boundary.
-    epoch_ingest: IngestCounters,
-    /// Health reported by the most recent epoch.
-    health: HealthState,
+    /// Snapshots ingested since the last epoch boundary.
+    epoch_ingest: usize,
     /// Remaining solve attempts to fail with an injected `NotConverged`
     /// (test hook; see [`StreamEngine::arm_fault_injection`]).
     injected_faults: usize,
@@ -175,9 +158,7 @@ impl StreamEngine {
             artifacts: None,
             workspace: Workspace::new(),
             epoch: 0,
-            quarantine: QuarantineTracker::new(),
-            epoch_ingest: IngestCounters::default(),
-            health: HealthState::Healthy,
+            epoch_ingest: 0,
             injected_faults: 0,
         };
         let (densities, spectral) = (engine.baseline.clone(), engine.cfg.spectral.clone());
@@ -203,17 +184,6 @@ impl StreamEngine {
         &self.cfg
     }
 
-    /// Health reported by the most recent epoch ([`HealthState::Healthy`]
-    /// before the first).
-    pub fn health(&self) -> HealthState {
-        self.health
-    }
-
-    /// Per-source quarantine state built up by [`Self::ingest_guarded`].
-    pub fn quarantine(&self) -> &QuarantineTracker {
-        &self.quarantine
-    }
-
     /// Arms the solve-fault injector: the next `n` solve attempts fail with
     /// a synthetic `NotConverged` before reaching the real solver. Test
     /// hook for exercising retry and degradation mid-stream.
@@ -221,7 +191,7 @@ impl StreamEngine {
         self.injected_faults = n;
     }
 
-    /// Ingests one per-segment density snapshot from a trusted feed.
+    /// Ingests one per-segment density snapshot.
     ///
     /// # Errors
     /// Returns [`StreamError::InvalidUpdate`] for a snapshot of the wrong
@@ -229,60 +199,8 @@ impl StreamEngine {
     /// first bad segment; nothing is ingested.
     pub fn ingest(&mut self, densities: &[f64]) -> Result<()> {
         self.aggregator.push(densities)?;
-        self.epoch_ingest.accepted += 1;
+        self.epoch_ingest += 1;
         Ok(())
-    }
-
-    /// Ingests one snapshot from an *untrusted* source, routing it through
-    /// `core::sanitize` instead of rejecting outright: NaN/infinite values
-    /// are replaced with the snapshot median, negatives are clamped to
-    /// zero, and short/long snapshots are padded/truncated. Repaired and
-    /// unrepairable snapshots count as strikes against `source`; after three
-    /// consecutive strikes the source is quarantined and its snapshots are
-    /// dropped until it delivers two consecutive clean ones.
-    /// With [`ResilienceConfig::stale_after`] set, bit-identical repeats
-    /// are treated as a stuck sensor and dropped the same way.
-    ///
-    /// Returns how the snapshot was disposed of; dropping is *not* an error
-    /// (the quarantine doing its job), but an epoch in which every offered
-    /// update was dropped fails with [`StreamError::QuarantineOverflow`].
-    ///
-    /// # Errors
-    /// Propagates aggregator failures (cannot happen for sanitized values).
-    pub fn ingest_guarded(&mut self, source: &str, densities: &[f64]) -> Result<IngestVerdict> {
-        let n = self.graph.node_count();
-        let sanitized = sanitize_densities(densities, n, SanitizePolicy::ClampAndWarn);
-        let (clean, unrepairable, repaired) = match sanitized {
-            Ok((clean, report)) => (Some(clean), false, !report.is_clean()),
-            // Sanitization refuses (e.g. an empty snapshot): unrepairable.
-            Err(_) => (None, true, false),
-        };
-        let disposition = self.quarantine.track(
-            source,
-            densities,
-            repaired,
-            unrepairable,
-            &self.cfg.resilience,
-        );
-        match clean {
-            // Unrepairable snapshots never reach here accepted: the tracker
-            // maps them to `Drop`, so an accept always carries a sanitized
-            // buffer.
-            Some(clean) if disposition != TrackDisposition::Drop => {
-                self.aggregator.push(&clean)?;
-                if disposition == TrackDisposition::AcceptRepaired {
-                    self.epoch_ingest.repaired += 1;
-                    Ok(IngestVerdict::Repaired)
-                } else {
-                    self.epoch_ingest.accepted += 1;
-                    Ok(IngestVerdict::Clean)
-                }
-            }
-            _ => {
-                self.epoch_ingest.dropped += 1;
-                Ok(IngestVerdict::Dropped)
-            }
-        }
     }
 
     /// Closes the current epoch: aggregate, probe, act, publish.
@@ -297,29 +215,13 @@ impl StreamEngine {
     ///
     /// # Errors
     /// Returns [`StreamError::InvalidUpdate`] when no densities were ever
-    /// ingested; [`StreamError::QuarantineOverflow`] when every update
-    /// offered this epoch was dropped; [`StreamError::DeadlineExceeded`]
-    /// for a blown budget under [`DeadlineMode::Fail`]; propagates
-    /// non-retryable repartitioning failures (the live snapshot is
-    /// untouched on failure — the store only changes on success).
+    /// ingested; [`StreamError::DeadlineExceeded`] for a blown budget under
+    /// [`DeadlineMode::Fail`]; propagates non-retryable repartitioning
+    /// failures (the live snapshot is untouched on failure — the store only
+    /// changes on success).
     pub fn run_epoch(&mut self) -> Result<EpochReport> {
         let t0 = Instant::now();
-        let ingest = std::mem::take(&mut self.epoch_ingest);
-        let quarantined_sources = self.quarantine.quarantined_sources();
-
-        // Every offered update was dropped: the aggregate would be pure
-        // stale data, and silently serving it would mask a dead feed.
-        if ingest.dropped > 0
-            && ingest.accepted == 0
-            && ingest.repaired == 0
-            && !quarantined_sources.is_empty()
-        {
-            return Err(StreamError::QuarantineOverflow {
-                sources: quarantined_sources.len(),
-                dropped: ingest.dropped,
-            });
-        }
-
+        let accepted = std::mem::take(&mut self.epoch_ingest);
         let Some(current) = self.aggregator.current() else {
             return Err(StreamError::InvalidUpdate(
                 "epoch with no density updates ever ingested".into(),
@@ -332,10 +234,7 @@ impl StreamEngine {
 
         let mut resilience = EpochResilience {
             budget_ms: self.cfg.resilience.epoch_budget_ms,
-            accepted: ingest.accepted,
-            repaired: ingest.repaired,
-            dropped: ingest.dropped,
-            quarantined_sources,
+            accepted,
             ..EpochResilience::default()
         };
 
@@ -428,13 +327,6 @@ impl StreamEngine {
         }
 
         resilience.degraded = executed != intended;
-        self.health = if resilience.degraded || resilience.deadline_blown {
-            HealthState::Degraded
-        } else if self.quarantine.any_quarantined() {
-            HealthState::Quarantining
-        } else {
-            HealthState::Healthy
-        };
 
         let after = self.store.read();
         Ok(EpochReport {
@@ -447,7 +339,6 @@ impl StreamEngine {
             drift,
             warm_started,
             elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-            health: self.health,
             resilience,
         })
     }
@@ -606,7 +497,6 @@ mod tests {
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.len(), 24);
         assert_eq!(snap.k, 3);
-        assert_eq!(engine.health(), HealthState::Healthy);
     }
 
     #[test]
@@ -621,7 +511,6 @@ mod tests {
             assert_eq!(report.intended, EpochAction::NoOp);
             assert_eq!(report.version, 1, "no-op must not republish");
             assert!(report.drift.is_none());
-            assert_eq!(report.health, HealthState::Healthy);
             assert!(!report.resilience.degraded);
             assert!(report.resilience.attempts.is_empty());
             assert_eq!(report.resilience.accepted, 1);
@@ -800,7 +689,7 @@ mod tests {
             report.resilience.attempts[0].seed, report.resilience.attempts[1].seed,
             "retries must rotate the seed"
         );
-        assert_eq!(report.health, HealthState::Healthy, "recovered in-rung");
+        assert!(!report.resilience.degraded, "recovered in-rung");
     }
 
     #[test]
@@ -820,7 +709,6 @@ mod tests {
         assert_eq!(report.action, EpochAction::NoOp, "fully degraded");
         assert!(report.resilience.degraded);
         assert_eq!(report.resilience.attempts.len(), 4);
-        assert_eq!(report.health, HealthState::Degraded);
         assert_eq!(report.version, 1, "no publish on a degraded no-op");
         // The next epoch (faults exhausted) recovers on its own.
         for _ in 0..3 {
@@ -828,7 +716,7 @@ mod tests {
         }
         let report = engine.run_epoch().unwrap();
         assert_eq!(report.action, EpochAction::Global);
-        assert_eq!(report.health, HealthState::Healthy);
+        assert!(!report.resilience.degraded);
         assert_eq!(report.version, 2);
     }
 
@@ -846,7 +734,7 @@ mod tests {
         assert_eq!(report.intended, EpochAction::Global);
         assert_eq!(report.action, EpochAction::NoOp);
         assert!(report.resilience.deadline_blown);
-        assert_eq!(report.health, HealthState::Degraded);
+        assert!(report.resilience.degraded);
 
         let graph = plateau_graph(3);
         let mut cfg = EngineConfig::new(3);
@@ -862,91 +750,5 @@ mod tests {
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn guarded_ingest_repairs_then_quarantines_then_overflows() {
-        let graph = plateau_graph(3);
-        let baseline = graph.features().to_vec();
-        let mut engine = StreamEngine::new(graph, EngineConfig::new(3)).unwrap();
-
-        let mut corrupt = baseline.clone();
-        corrupt[0] = f64::NAN;
-        corrupt[1] = -5.0;
-        // Three straight corrupt snapshots: repaired, repaired, quarantined.
-        assert_eq!(
-            engine.ingest_guarded("bad", &corrupt).unwrap(),
-            IngestVerdict::Repaired
-        );
-        let mut corrupt2 = corrupt.clone();
-        corrupt2[2] = f64::INFINITY;
-        assert_eq!(
-            engine.ingest_guarded("bad", &corrupt2).unwrap(),
-            IngestVerdict::Repaired
-        );
-        let mut corrupt3 = corrupt.clone();
-        corrupt3[3] = -1.0;
-        assert_eq!(
-            engine.ingest_guarded("bad", &corrupt3).unwrap(),
-            IngestVerdict::Dropped
-        );
-        assert!(engine.quarantine().any_quarantined());
-        // A clean source keeps the epoch healthy enough to run.
-        assert_eq!(
-            engine.ingest_guarded("good", &baseline).unwrap(),
-            IngestVerdict::Clean
-        );
-        let report = engine.run_epoch().unwrap();
-        assert_eq!(report.health, HealthState::Quarantining);
-        assert_eq!(report.resilience.repaired, 2);
-        assert_eq!(report.resilience.dropped, 1);
-        assert_eq!(report.resilience.accepted, 1);
-        assert_eq!(
-            report.resilience.quarantined_sources,
-            vec!["bad".to_string()]
-        );
-
-        // Next epoch: only the quarantined source reports — overflow.
-        assert_eq!(
-            engine.ingest_guarded("bad", &corrupt).unwrap(),
-            IngestVerdict::Dropped
-        );
-        match engine.run_epoch() {
-            Err(StreamError::QuarantineOverflow { sources, dropped }) => {
-                assert_eq!((sources, dropped), (1, 1));
-            }
-            other => panic!("expected QuarantineOverflow, got {other:?}"),
-        }
-        // After the error the engine still serves and can run clean epochs.
-        engine.ingest(&baseline).unwrap();
-        let report = engine.run_epoch().unwrap();
-        assert_eq!(report.action, EpochAction::NoOp);
-    }
-
-    #[test]
-    fn empty_guarded_snapshots_are_unrepairable_drops() {
-        let graph = plateau_graph(2);
-        let mut engine = StreamEngine::new(graph, EngineConfig::new(2)).unwrap();
-        assert_eq!(
-            engine.ingest_guarded("s", &[]).unwrap(),
-            IngestVerdict::Dropped
-        );
-        let stats = engine.quarantine().source("s").unwrap();
-        assert_eq!(stats.dropped, 1);
-        assert_eq!(stats.consecutive_malformed, 1);
-    }
-
-    #[test]
-    fn guarded_ingest_pads_short_snapshots() {
-        let graph = plateau_graph(2);
-        let baseline = graph.features().to_vec();
-        let mut engine = StreamEngine::new(graph, EngineConfig::new(2)).unwrap();
-        // A short snapshot is repaired (padded), not rejected.
-        assert_eq!(
-            engine.ingest_guarded("s", &baseline[..10]).unwrap(),
-            IngestVerdict::Repaired
-        );
-        engine.ingest(&baseline).unwrap();
-        engine.run_epoch().unwrap();
     }
 }

@@ -17,14 +17,6 @@ pub enum StreamError {
         /// Wall-clock actually consumed when the budget check fired.
         elapsed_ms: f64,
     },
-    /// Every update offered this epoch was dropped by source quarantine —
-    /// the engine has no trustworthy input left to aggregate.
-    QuarantineOverflow {
-        /// Number of quarantined sources.
-        sources: usize,
-        /// Updates dropped since the previous epoch.
-        dropped: usize,
-    },
     /// A failure in the underlying partitioning framework.
     Framework(roadpart::RoadpartError),
 }
@@ -44,11 +36,6 @@ impl fmt::Display for StreamError {
                 f,
                 "epoch deadline exceeded: {elapsed_ms:.1} ms elapsed against a \
                  {budget_ms:.1} ms budget"
-            ),
-            StreamError::QuarantineOverflow { sources, dropped } => write!(
-                f,
-                "quarantine overflow: all {dropped} updates this epoch were dropped \
-                 ({sources} quarantined sources)"
             ),
             StreamError::Framework(e) => write!(f, "framework error: {e}"),
         }

@@ -17,10 +17,10 @@
 //!   eigenvectors and k-means centroids
 //!   (`roadpart_cut::spectral_partition_warm_ws`);
 //! * [`health`] — the self-healing machinery: per-epoch deadline budgets
-//!   with a graceful-degradation ladder (Global → Regional → NoOp),
-//!   bounded seed-rotating retries of numerical solver failures, per-source
-//!   quarantine of malformed feeds, and the
-//!   Healthy / Degraded / Quarantining [`health::HealthState`] signal;
+//!   with a graceful-degradation ladder (Global → Regional → NoOp) and
+//!   bounded seed-rotating retries of numerical solver failures, each
+//!   epoch reporting whether it ran
+//!   [degraded](health::EpochResilience::degraded);
 //! * [`snapshot::PartitionStore`] — double-buffered, versioned
 //!   `segment → partition` snapshots with O(1) non-blocking reads;
 //! * [`report::EpochReport`] / [`report::StreamLog`] — machine-readable
@@ -43,9 +43,6 @@ pub use aggregate::{AggregateKind, DensityAggregator};
 pub use drift::{DriftPolicy, DriftProbe, EpochAction};
 pub use engine::{EngineConfig, StreamEngine};
 pub use error::{Result, StreamError};
-pub use health::{
-    DeadlineMode, EpochAttempt, EpochResilience, HealthState, IngestVerdict, QuarantineTracker,
-    ResilienceConfig, SourceStats,
-};
+pub use health::{DeadlineMode, EpochAttempt, EpochResilience, ResilienceConfig};
 pub use report::{EpochReport, StreamLog};
 pub use snapshot::{PartitionSnapshot, PartitionStore};

@@ -1,8 +1,9 @@
 //! Machine-readable per-epoch reporting (the streaming analogue of the
-//! supervisor's `RunReport`).
+//! supervisor's `RunReport`). An epoch's one outcome flag is
+//! `resilience.degraded`; [`StreamLog::degraded_epochs`] counts them.
 
 use crate::drift::{DriftProbe, EpochAction};
-use crate::health::{EpochResilience, HealthState};
+use crate::health::EpochResilience;
 use roadpart_eval::PartitionDrift;
 use serde::{Deserialize, Serialize};
 
@@ -30,11 +31,8 @@ pub struct EpochReport {
     pub warm_started: bool,
     /// Wall-clock spent in the epoch.
     pub elapsed_ms: f64,
-    /// Engine health after the epoch.
-    #[serde(default)]
-    pub health: HealthState,
     /// What the self-healing machinery did this epoch: solve attempts,
-    /// deadline state, ingest/quarantine accounting.
+    /// deadline state, whether it degraded, snapshots ingested.
     #[serde(default)]
     pub resilience: EpochResilience,
 }
@@ -80,19 +78,6 @@ impl StreamLog {
         c
     }
 
-    /// `(healthy, degraded, quarantining)` epoch counts.
-    pub fn health_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for r in &self.reports {
-            match r.health {
-                HealthState::Healthy => c.0 += 1,
-                HealthState::Degraded => c.1 += 1,
-                HealthState::Quarantining => c.2 += 1,
-            }
-        }
-        c
-    }
-
     /// Epochs where the executed action fell short of the intended one.
     pub fn degraded_epochs(&self) -> usize {
         self.reports
@@ -126,7 +111,6 @@ mod tests {
             drift: None,
             warm_started: false,
             elapsed_ms: 1.5,
-            health: HealthState::Healthy,
             resilience: EpochResilience::default(),
         }
     }
@@ -140,7 +124,6 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.action_counts(), (2, 0, 1));
         assert!((log.total_ms() - 4.5).abs() < 1e-12);
-        assert_eq!(log.health_counts(), (3, 0, 0));
         assert_eq!(log.degraded_epochs(), 0);
     }
 
@@ -150,10 +133,8 @@ mod tests {
         let mut r = report(1, EpochAction::NoOp);
         r.intended = EpochAction::Global;
         r.resilience.degraded = true;
-        r.health = HealthState::Degraded;
         log.push(r);
         log.push(report(2, EpochAction::Global));
-        assert_eq!(log.health_counts(), (1, 1, 0));
         assert_eq!(log.degraded_epochs(), 1);
     }
 
@@ -164,21 +145,21 @@ mod tests {
             &[0, 0, 1],
             &[0, 1, 1],
         ));
-        r.health = HealthState::Quarantining;
-        r.resilience.dropped = 3;
+        r.resilience.degraded = true;
+        r.resilience.accepted = 3;
         let json = serde_json::to_string(&r).unwrap();
         let back: EpochReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.epoch, 7);
         assert_eq!(back.action, EpochAction::Regional);
         assert!(back.drift.is_some());
-        assert_eq!(back.health, HealthState::Quarantining);
-        assert_eq!(back.resilience.dropped, 3);
+        assert!(back.resilience.degraded);
+        assert_eq!(back.resilience.accepted, 3);
     }
 
     #[test]
     fn pre_resilience_reports_still_deserialize() {
-        // A report serialized before the health/resilience fields existed
-        // must load with healthy defaults.
+        // A report serialized before the resilience fields existed must load
+        // with clean defaults.
         let json = r#"{
             "epoch": 2,
             "action": "Global",
@@ -191,9 +172,39 @@ mod tests {
         }"#;
         let back: EpochReport = serde_json::from_str(json).unwrap();
         assert_eq!(back.intended, EpochAction::NoOp);
-        assert_eq!(back.health, HealthState::Healthy);
         assert!(!back.resilience.degraded);
         assert!(back.resilience.attempts.is_empty());
         assert!(back.resilience.recoveries.events.is_empty());
+
+        // A report written while the engine still tracked engine health and
+        // source quarantine loads too: the removed keys are ignored.
+        let json = r#"{
+            "epoch": 6,
+            "action": "NoOp",
+            "intended": "Regional",
+            "probe": {"max_divergence": 0.45, "trial_nmi": 0.3, "reference_nmi": 0.6},
+            "version": 7,
+            "k": 4,
+            "drift": null,
+            "warm_started": false,
+            "elapsed_ms": 0.1,
+            "health": "Quarantining",
+            "resilience": {
+                "attempts": [],
+                "degraded": true,
+                "deadline_blown": false,
+                "budget_ms": null,
+                "accepted": 2,
+                "repaired": 1,
+                "dropped": 3,
+                "quarantined_sources": ["roadside-sensor"],
+                "recoveries": {"events": []}
+            }
+        }"#;
+        let back: EpochReport = serde_json::from_str(json).unwrap();
+        assert_eq!((back.epoch, back.version), (6, 7));
+        assert_eq!(back.intended, EpochAction::Regional);
+        assert!(back.resilience.degraded);
+        assert_eq!(back.resilience.accepted, 2);
     }
 }

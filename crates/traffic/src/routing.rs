@@ -126,18 +126,6 @@ impl<'a> Router<'a> {
         route.reverse();
         Ok(route)
     }
-
-    /// Cost of the last computed route's destination (for tests/telemetry).
-    pub fn last_cost(&self, to: IntersectionId) -> f64 {
-        self.dist[to.index()]
-    }
-}
-
-/// Free-flow travel time of a segment in seconds.
-#[inline]
-pub fn free_flow_time(net: &RoadNetwork, seg: SegmentId) -> f64 {
-    let s = net.segment(seg);
-    s.length_m / s.free_speed_mps
 }
 
 #[cfg(test)]
@@ -229,13 +217,5 @@ mod tests {
         assert!(router
             .route(IntersectionId(2), IntersectionId(0), |_| 1.0)
             .is_err());
-    }
-
-    #[test]
-    fn free_flow_time_formula() {
-        let net = net_with_shortcut();
-        let t = free_flow_time(&net, SegmentId(0));
-        let s = net.segment(SegmentId(0));
-        assert!((t - s.length_m / s.free_speed_mps).abs() < 1e-12);
     }
 }

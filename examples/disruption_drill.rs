@@ -2,19 +2,19 @@
 //! the self-healing epoch loop.
 //!
 //! Overlays the standard blockade scenario on the D1 microsim trace, feeds
-//! it to the stream engine through the *guarded* ingest path alongside a
-//! sensor that goes bad halfway through, and injects a burst of solver
-//! faults at the height of the disruption. Watch the engine repair and
-//! then quarantine the bad sensor, retry the faulted solves with rotated
-//! seeds, degrade down the ladder when the budget runs out, and recover on
-//! its own — all while the served partition stays valid and versioned.
+//! it to the stream engine alongside a roadside sensor that goes bad
+//! halfway through, and injects a burst of solver faults at the height of
+//! the disruption. Watch the density gate refuse the bad sensor's
+//! snapshots, the engine retry the faulted solves with rotated seeds,
+//! degrade down the ladder when the retries run out, and recover on its
+//! own — all while the served partition stays valid and versioned.
 //!
 //! ```text
 //! cargo run --release --example disruption_drill [scale] [seed]
 //! ```
 
 use roadpart_net::RoadGraph;
-use roadpart_stream::{EngineConfig, EpochAction, StreamEngine};
+use roadpart_stream::{EngineConfig, EpochAction, StreamEngine, StreamError};
 use roadpart_traffic::Scenario;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -52,6 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let per_epoch = (steps - 1).div_ceil(epochs).max(1);
     let mut t = 1usize;
     let mut faulted = false;
+    let mut total_refused = 0usize;
     while t < steps {
         let end = (t + per_epoch).min(steps);
         let mid = t as f64 / (steps - 1) as f64;
@@ -61,18 +62,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             faulted = true;
             println!("  !! injecting 3 solver faults");
         }
+        let mut refused = 0usize;
         for s in t..end {
-            // The trunk feed is trusted; the roadside sensor goes bad in
-            // the second half of the drill and starts reporting NaNs.
+            // The trunk feed stays clean; the roadside sensor goes bad in
+            // the second half of the drill and starts reporting NaNs, which
+            // the gate refuses before they reach the aggregate.
             engine.ingest(disrupted.at(s))?;
             if mid > 0.45 {
                 let garbage = vec![f64::NAN; dataset.network.segment_count()];
-                let verdict = engine.ingest_guarded("roadside-sensor", &garbage)?;
-                let _ = verdict;
+                match engine.ingest(&garbage) {
+                    Err(StreamError::InvalidUpdate(_)) => refused += 1,
+                    Ok(()) => return Err("a NaN snapshot got past the density gate".into()),
+                    Err(e) => return Err(e.into()),
+                }
             } else {
-                engine.ingest_guarded("roadside-sensor", disrupted.at(s))?;
+                engine.ingest(disrupted.at(s))?;
             }
         }
+        total_refused += refused;
         t = end;
         let r = engine.run_epoch()?;
         let action = match r.action {
@@ -87,25 +94,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if r.resilience.attempts.len() > 1 {
             notes.push_str(&format!(" ({} attempts)", r.resilience.attempts.len()));
         }
-        if r.resilience.dropped > 0 {
-            notes.push_str(&format!(" ({} dropped)", r.resilience.dropped));
+        if refused > 0 {
+            notes.push_str(&format!(" ({refused} refused)"));
         }
         println!(
-            "epoch {:>2}: {action:<8} {:<12} divergence {:.3} | v{} | {:.1} ms{notes}",
-            r.epoch,
-            r.health.label(),
-            r.probe.max_divergence,
-            r.version,
-            r.elapsed_ms
+            "epoch {:>2}: {action:<8} divergence {:.3} | v{} | {:.1} ms{notes}",
+            r.epoch, r.probe.max_divergence, r.version, r.elapsed_ms
         );
     }
 
-    let quarantined = engine.quarantine().quarantined_sources();
     println!(
-        "\nfinal: version {} | health {} | quarantined sources: {:?}",
-        store.read().version,
-        engine.health(),
-        quarantined
+        "\nfinal: version {} | {total_refused} snapshots refused",
+        store.read().version
     );
     Ok(())
 }

@@ -43,15 +43,18 @@ step loom-pool env RUSTFLAGS="--cfg loom" CARGO_TARGET_DIR=target/loom \
 step parallel-diff env ROADPART_THREADS=4 \
   cargo test -q -p roadpart --test integration_parallel
 # Self-healing gate: fault-injection replay suite (corrupt feeds,
-# blockades, solver faults, blown deadlines) plus the drift bench smoke
-# run, whose internal validity checks (replays complete, metrics finite,
-# disruptions detected) gate the exit code.
+# blockades, solver faults, blown deadlines), the drift bench smoke run,
+# whose internal validity checks (replays complete, metrics finite,
+# disruptions detected) gate the exit code, and the disruption drill: a
+# refused feed, solver-fault retries and ladder degradation end to end on
+# a simulated city.
 step disruption-replay cargo test -q -p roadpart-stream --test integration_disruption
 # The CI strict-invariants job: release-mode tests with the stage and
 # epoch-boundary validators compiled in (debug builds always have them).
 step strict-invariants cargo test -q --release -p roadpart -p roadpart-stream \
   --features roadpart-stream/strict-invariants
 step drift-smoke cargo run -q --release -p roadpart-bench --bin drift_bench -- --smoke
+step disruption-drill cargo run -q --release -p roadpart-stream --example disruption_drill
 step drift-json  test -s target/experiments/BENCH_drift.json
 # Serving-layer gates: the differential suite pins partition-aware routes
 # cost-exact against a whole-network Dijkstra; the loom suite model-checks

@@ -5,19 +5,18 @@
 //! online repartitioning engine, asserting the robustness contract:
 //!
 //! 1. the engine never panics and never publishes a torn or invalid
-//!    partition — failed epochs leave readers on the last good snapshot;
-//! 2. `HealthState` accurately reflects what happened each epoch;
+//!    partition — refused snapshots never reach the aggregate, and failed
+//!    epochs leave readers on the last good snapshot;
+//! 2. `EpochResilience::degraded` accurately reflects what happened each
+//!    epoch;
 //! 3. after the disruption clears, the served partition recovers to within
 //!    a quality margin of a clean-rerun oracle built from scratch on the
 //!    post-disruption densities.
 
-use roadpart_eval::similarity::nmi;
 use roadpart_eval::QualityReport;
 use roadpart_linalg::CsrMatrix;
 use roadpart_net::RoadGraph;
-use roadpart_stream::{
-    DeadlineMode, EngineConfig, EpochAction, HealthState, IngestVerdict, StreamEngine, StreamError,
-};
+use roadpart_stream::{DeadlineMode, EngineConfig, EpochAction, StreamEngine, StreamError};
 use roadpart_traffic::Scenario;
 
 const PLATEAUS: usize = 6;
@@ -41,43 +40,40 @@ fn flipped() -> Vec<f64> {
         .collect()
 }
 
-/// A corrupt feed routed through the guarded path must not move the served
-/// partition at all: the run with garbage on the wire ends on exactly the
-/// labels of an identical clean-only run.
+/// A corrupt feed must not move the served partition at all: every bad
+/// snapshot is refused where it enters, and the run with garbage on the
+/// wire ends on exactly the labels of an identical clean-only run.
 #[test]
-fn quarantined_garbage_does_not_poison_the_partition() {
+fn refused_garbage_does_not_poison_the_partition() {
     let cfg = EngineConfig::new(4).with_seed(11);
     let mut live = StreamEngine::new(plateau_graph(), cfg.clone()).unwrap();
     let mut oracle = StreamEngine::new(plateau_graph(), cfg).unwrap();
     let baseline = plateau_graph().features().to_vec();
 
-    // Unrepairable garbage (sanitization refuses an empty snapshot): it
-    // must be dropped at the door every time, first as strikes and then
-    // under quarantine, and never reach the aggregate.
-    let garbage: Vec<f64> = Vec::new();
+    let mut corrupt = baseline.clone();
+    corrupt[0] = f64::NAN;
+    corrupt[1] = -5.0;
     for epoch in 0..6 {
         // Both engines get the same clean feed...
-        live.ingest_guarded("loop-detector", &baseline).unwrap();
+        live.ingest(&baseline).unwrap();
         oracle.ingest(&baseline).unwrap();
-        // ...but the live one also gets garbage from a broken source.
-        let verdict = live.ingest_guarded("broken-sensor", &garbage).unwrap();
-        assert_eq!(verdict, IngestVerdict::Dropped, "epoch {epoch}");
+        // ...but the live one is also offered garbage from a broken source.
+        for garbage in [&corrupt[..], &[]] {
+            match live.ingest(garbage) {
+                Err(StreamError::InvalidUpdate(_)) => {}
+                other => panic!("epoch {epoch}: expected InvalidUpdate, got {other:?}"),
+            }
+        }
         let r_live = live.run_epoch().unwrap();
         let r_oracle = oracle.run_epoch().unwrap();
+        assert_eq!(r_live.resilience.accepted, 1, "epoch {epoch}");
         assert_eq!(r_live.action, r_oracle.action, "epoch {epoch}");
         assert_eq!(r_live.version, r_oracle.version, "epoch {epoch}");
     }
 
-    assert!(
-        live.quarantine().any_quarantined(),
-        "source must quarantine"
-    );
-    assert_eq!(live.health(), HealthState::Quarantining);
-    assert_eq!(oracle.health(), HealthState::Healthy);
-    let served = live.store().read();
-    let clean = oracle.store().read();
-    assert!(
-        nmi(served.labels(), clean.labels()) > 1.0 - 1e-9,
+    assert_eq!(
+        live.store().read().labels(),
+        oracle.store().read().labels(),
         "garbage leaked into the served partition"
     );
 }
@@ -101,7 +97,7 @@ fn solver_faults_degrade_then_recover_to_oracle_quality() {
     let degraded = engine.run_epoch().unwrap();
     assert_eq!(degraded.intended, EpochAction::Global);
     assert_eq!(degraded.action, EpochAction::NoOp, "fully degraded");
-    assert_eq!(degraded.health, HealthState::Degraded);
+    assert!(degraded.resilience.degraded);
     assert_eq!(degraded.resilience.attempts.len(), 4);
     assert!(degraded.resilience.attempts.iter().all(|a| !a.succeeded));
     assert_eq!(
@@ -116,7 +112,7 @@ fn solver_faults_degrade_then_recover_to_oracle_quality() {
     }
     let recovered = engine.run_epoch().unwrap();
     assert_eq!(recovered.action, EpochAction::Global);
-    assert_eq!(recovered.health, HealthState::Healthy);
+    assert!(!recovered.resilience.degraded);
     assert_eq!(store.read().version, 2);
 
     // Clean-rerun oracle: a fresh engine whose graph starts on the same
@@ -177,14 +173,14 @@ fn mid_stream_blockade_recovers_within_margin_of_oracle() {
         t = end;
         let r = engine.run_epoch().unwrap();
         // Serving contract under disruption: monotonic versions, complete
-        // snapshots, finite probes, accurate health.
+        // snapshots, finite probes, no degraded epoch.
         assert!(r.version >= last_version, "version ran backwards");
         last_version = r.version;
         let snap = store.read();
         assert_eq!(snap.len(), dataset.network.segment_count());
         assert!(snap.labels().iter().all(|&l| l < snap.k));
         assert!(r.probe.max_divergence.is_finite());
-        assert_eq!(r.health, HealthState::Healthy, "no faults were injected");
+        assert!(!r.resilience.degraded, "no faults were injected");
         if r.action != EpochAction::NoOp {
             reacted = true;
         }
@@ -228,7 +224,7 @@ fn blown_deadlines_degrade_or_fail_without_touching_the_store() {
     let r = engine.run_epoch().unwrap();
     assert_eq!(r.action, EpochAction::NoOp);
     assert!(r.resilience.deadline_blown);
-    assert_eq!(r.health, HealthState::Degraded);
+    assert!(r.resilience.degraded);
     assert_eq!(engine.store().read().version, 1);
 
     // Fail mode: the epoch errors out; the snapshot is still the old one.
@@ -244,43 +240,4 @@ fn blown_deadlines_degrade_or_fail_without_touching_the_store() {
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     assert_eq!(engine.store().read().version, 1);
-}
-
-/// When quarantine swallows every update of an epoch the engine refuses to
-/// run on stale data — an error, not a panic, and recoverable.
-#[test]
-fn quarantine_overflow_is_an_error_not_a_panic() {
-    let graph = plateau_graph();
-    let baseline = graph.features().to_vec();
-    let mut engine = StreamEngine::new(graph, EngineConfig::new(4).with_seed(3)).unwrap();
-    let garbage = vec![f64::NEG_INFINITY; N];
-
-    // Strike out the only source (threshold 3), interleaving clean epochs
-    // so each epoch still has input until the quarantine engages.
-    for _ in 0..3 {
-        engine.ingest(&baseline).unwrap();
-        engine.ingest_guarded("only-source", &garbage).unwrap();
-        engine.run_epoch().unwrap();
-    }
-    assert!(engine.quarantine().any_quarantined());
-
-    // Now the quarantined source is the *only* input: overflow.
-    assert_eq!(
-        engine.ingest_guarded("only-source", &garbage).unwrap(),
-        IngestVerdict::Dropped
-    );
-    match engine.run_epoch() {
-        Err(StreamError::QuarantineOverflow { sources, dropped }) => {
-            assert_eq!(sources, 1);
-            assert_eq!(dropped, 1);
-        }
-        other => panic!("expected QuarantineOverflow, got {other:?}"),
-    }
-
-    // The engine keeps serving and the next clean epoch succeeds.
-    let before = engine.store().read().version;
-    engine.ingest(&baseline).unwrap();
-    let r = engine.run_epoch().unwrap();
-    assert_eq!(r.action, EpochAction::NoOp);
-    assert_eq!(engine.store().read().version, before);
 }
