@@ -115,7 +115,7 @@ fn parse_allowance(entry: &Value) -> Option<Allowance> {
 }
 
 /// `(crate, rule)` keys whose allowance lacks a written justification
-/// (absent, or still carrying the `TODO` marker [`write`] emits).
+/// (absent, or still carrying the `TODO` marker [`write()`] emits).
 pub fn unjustified(allowances: &Allowances) -> Vec<(String, String)> {
     allowances
         .iter()

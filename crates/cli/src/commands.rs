@@ -20,8 +20,7 @@ USAGE:
   roadpart partition --net <network file> --k N [--scheme <ag|asg|ng|nsg|jg>]
                      [--densities <densities file>] [--seed N]
                      [--labels <out labels>] [--geojson <out geojson>]
-                     [--policy <clamp|strict>] [--attempts N]
-                     [--report <out report json>]
+                     [--attempts N] [--report <out report json>]
   roadpart metrics   --net <network file> --labels <labels file>
                      [--densities <densities file>]
   roadpart select-k  --net <network file> [--densities F] [--kmax N]
@@ -38,12 +37,15 @@ USAGE:
 Files: networks use the roadpart text format; densities and labels are one
 value per line in segment order.
 
-partition runs under a fault-tolerant supervisor: anomalous densities are
-sanitized per --policy (clamp repairs and records, strict fails fast),
-transient solver failures climb a fallback ladder and rotate seeds for up
-to --attempts tries, and supergraph schemes degrade to their direct
-counterpart when mining fails. --report writes the machine-readable run
-report (attempts, repairs, recovery rungs, timings) as JSON.
+Every command that reads a densities file refuses a NaN, infinite or
+negative value, or a wrong count, as a data error naming the file and the
+first bad segment; nothing is repaired.
+
+partition runs under a fault-tolerant supervisor: transient solver failures
+climb a fallback ladder and rotate seeds for up to --attempts tries, and
+supergraph schemes degrade to their direct counterpart when mining fails.
+--report writes the machine-readable run report (attempts, degeneracy
+warnings, recovery rungs, timings) as JSON.
 
 stream replays the preset's simulated density trace through the online
 repartitioning engine: each epoch it aggregates the feed, probes drift, and
@@ -119,18 +121,14 @@ fn write_column<T: std::fmt::Display>(path: &str, values: &[T]) -> CliResult<()>
     Ok(())
 }
 
-/// Densities: explicit file, or the ones stored in the network.
+/// Densities: explicit file, checked by the density gate, or the ones
+/// stored in the network (checked when the network was loaded).
 fn resolve_densities(args: &Args, net: &RoadNetwork) -> CliResult<Vec<f64>> {
     match args.optional("densities") {
         Some(path) => {
             let d: Vec<f64> = load_column(path, "density")?;
-            if d.len() != net.segment_count() {
-                return Err(CliError::data(format!(
-                    "{path}: {} densities for {} segments",
-                    d.len(),
-                    net.segment_count()
-                )));
-            }
+            roadpart_net::check_densities(&d, net.segment_count())
+                .map_err(|e| CliError::data(format!("{path}: {e}")))?;
             Ok(d)
         }
         None => Ok(net.densities()),
@@ -146,19 +144,6 @@ fn parse_scheme(name: &str) -> CliResult<Scheme> {
         other => Err(CliError::config(format!(
             "unknown scheme '{other}' (use ag|asg|ng|nsg)"
         ))),
-    }
-}
-
-fn parse_policy(args: &Args) -> CliResult<SanitizePolicy> {
-    match args.optional("policy") {
-        None => Ok(SanitizePolicy::ClampAndWarn),
-        Some(raw) => match raw.to_ascii_lowercase().as_str() {
-            "clamp" | "clamp-and-warn" => Ok(SanitizePolicy::ClampAndWarn),
-            "strict" => Ok(SanitizePolicy::Strict),
-            other => Err(CliError::config(format!(
-                "unknown policy '{other}' (use clamp|strict)"
-            ))),
-        },
     }
 }
 
@@ -207,7 +192,6 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
             "seed",
             "labels",
             "geojson",
-            "policy",
             "attempts",
             "report",
         ],
@@ -218,6 +202,10 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
         return Err(CliError::config("--k must be at least 1"));
     }
     let seed: u64 = args.get_or("seed", 42)?;
+    let attempts: usize = args.get_or("attempts", 3)?;
+    if attempts < 1 {
+        return Err(CliError::config("--attempts must be at least 1"));
+    }
     let densities = resolve_densities(&args, &net)?;
     let scheme_name = args.optional("scheme").unwrap_or("asg");
 
@@ -234,8 +222,7 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
             framework: FrameworkConfig::default().with_seed(seed),
         };
         let mut sup = SupervisorConfig::new(pipeline);
-        sup.policy = parse_policy(&args)?;
-        sup.max_attempts = args.get_or("attempts", 3)?;
+        sup.max_attempts = attempts;
         let run = run_supervised(&net, &densities, &sup)?;
         let result = &run.result;
         let report = &run.report;
@@ -249,12 +236,6 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
                 "supergraph: {} supernodes from {} segments",
                 order,
                 net.segment_count()
-            );
-        }
-        if !report.validation.repairs.is_empty() {
-            println!(
-                "sanitized: repaired {} anomalous densities",
-                report.validation.repairs.len()
             );
         }
         for warning in &report.validation.warnings {
@@ -301,7 +282,8 @@ pub fn partition(argv: &[String]) -> CliResult<()> {
     Ok(())
 }
 
-/// Parses `latest`, `window:N`, or `ewma:A` into an [`AggregateKind`].
+/// Parses `latest`, `window:N`, or `ewma:A` into an
+/// [`roadpart_stream::AggregateKind`].
 fn parse_aggregate(raw: &str) -> CliResult<roadpart_stream::AggregateKind> {
     use roadpart_stream::AggregateKind;
     let lower = raw.to_ascii_lowercase();
@@ -660,12 +642,15 @@ pub fn select_k(argv: &[String]) -> CliResult<()> {
     let net = load_network(args.required("net")?)?;
     let densities = resolve_densities(&args, &net)?;
     let kmax: usize = args.get_or("kmax", 12)?;
+    if kmax < 2 {
+        return Err(CliError::config("--kmax must be at least 2"));
+    }
     let seed: u64 = args.get_or("seed", 42)?;
     let scheme = parse_scheme(args.optional("scheme").unwrap_or("asg"))?;
     let mut graph = RoadGraph::from_network(&net)?;
     graph.set_features(densities)?;
     let cfg = FrameworkConfig::default().with_seed(seed);
-    let sel = roadpart::select_k(&graph, scheme, 2..=kmax.max(2), &cfg)?;
+    let sel = roadpart::select_k(&graph, scheme, 2..=kmax, &cfg)?;
     println!("{:>4} {:>10} {:>10}", "k", "ANS", "GDBI");
     for c in &sel.sweep {
         println!("{:>4} {:>10.4} {:>10.4}", c.k, c.report.ans, c.report.gdbi);

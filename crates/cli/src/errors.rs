@@ -7,7 +7,7 @@ use std::fmt;
 
 /// Exit code for configuration and usage errors.
 pub const EXIT_CONFIG: u8 = 2;
-/// Exit code for data errors (missing, unreadable, or unrepairable input).
+/// Exit code for data errors (missing, unreadable, or invalid input).
 pub const EXIT_DATA: u8 = 3;
 /// Exit code for numerical errors (eigensolver, clustering, cuts).
 pub const EXIT_NUMERICAL: u8 = 4;

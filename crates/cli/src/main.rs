@@ -5,7 +5,7 @@
 //! roadpart generate --preset d1 --scale 0.5 --seed 42 --out city.net --densities city.densities
 //! roadpart partition --net city.net --densities city.densities --k 6 \
 //!                    --scheme asg --labels out.labels --geojson out.geojson \
-//!                    --policy clamp --report run-report.json
+//!                    --report run-report.json
 //! roadpart metrics   --net city.net --densities city.densities --labels out.labels
 //! roadpart select-k  --net city.net --densities city.densities --kmax 12 --scheme asg
 //! roadpart stream    --preset d1 --scale 0.35 --k 4 --epochs 10 --log stream-log.json
@@ -13,8 +13,9 @@
 //! ```
 //!
 //! Exit codes distinguish the failure class so scripts can react:
-//! `0` success, `2` configuration/usage error, `3` data error (unreadable or
-//! unrepairable input), `4` numerical error (solver and clustering
+//! `0` success, `2` configuration/usage error, `3` data error (an unreadable
+//! file, or densities the gate refuses: NaN, infinite, negative or a wrong
+//! count), `4` numerical error (solver and clustering
 //! failures), `5` epoch deadline exceeded (`stream --deadline fail`),
 //! `7` no route between the requested `serve --from`/`--to` pair.
 

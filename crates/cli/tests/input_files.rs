@@ -124,13 +124,25 @@ fn density_files_are_checked_where_they_are_read() {
         .map(str::to_string)
         .collect();
     let n = values.len();
-    let partition = |densities: &str, strict: bool| {
-        let mut args = vec!["partition", "--net", &net, "--k", "4"];
-        args.extend(["--densities", densities]);
-        if strict {
-            args.extend(["--policy", "strict"]);
-        }
+    let labels = dir.write("labels.txt", &vec!["0".to_string(); n]);
+    // `command` with the network and `densities` appended.
+    let run = |command: &[&str], densities: &str| {
+        let mut args = command.to_vec();
+        args.extend(["--net", &net, "--densities", densities]);
         roadpart(&args)
+    };
+    let partition = |densities: &str| run(&["partition", "--k", "4"], densities);
+    // Every command that reads a density file, each handed `densities`.
+    let every_reader = |densities: &str| -> Vec<(&'static str, Output)> {
+        vec![
+            ("partition", partition(densities)),
+            (
+                "jg",
+                run(&["partition", "--k", "4", "--scheme", "jg"], densities),
+            ),
+            ("metrics", run(&["metrics", "--labels", &labels], densities)),
+            ("select-k", run(&["select-k", "--kmax", "4"], densities)),
+        ]
     };
     let mut rng = Lcg(0xd15);
 
@@ -140,7 +152,7 @@ fn density_files_are_checked_where_they_are_read() {
         let mut lines = values.clone();
         lines[at] = token.to_string();
         let path = dir.write("token.txt", &lines);
-        let out = partition(&path, false);
+        let out = partition(&path);
         assert_eq!(out.status.code(), Some(3), "{token:?}: {out:?}");
         let stderr = text(&out.stderr);
         let named = format!("{path}:{}: bad density '{token}'", at + 1);
@@ -152,42 +164,41 @@ fn density_files_are_checked_where_they_are_read() {
     for extra in ["", "# comment", "   ", "#"] {
         lines.insert(rng.below(lines.len() + 1), extra.to_string());
     }
-    let out = partition(&dir.write("comments.txt", &lines), true);
+    let out = partition(&dir.write("comments.txt", &lines));
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    assert!(!text(&out.stdout).contains("sanitized"), "{out:?}");
 
-    // A wrong count exits 3, naming the file and both counts.
+    // A wrong count exits 3 on every reader, naming the file and both
+    // counts.
     let short = values[..n - 1 - rng.below(3)].to_vec();
     let mut long = values.clone();
     long.push("0.1".to_string());
     for lines in [short, long] {
         let path = dir.write("count.txt", &lines);
-        let out = partition(&path, false);
-        assert_eq!(out.status.code(), Some(3), "{out:?}");
         let named = format!("{path}: {} densities for {n} segments", lines.len());
-        assert!(text(&out.stderr).contains(&named), "{out:?}");
+        for (command, out) in every_reader(&path) {
+            assert_eq!(out.status.code(), Some(3), "{command}: {out:?}");
+            assert!(text(&out.stderr).contains(&named), "{command}: {out:?}");
+        }
     }
 
-    // A parseable anomaly is repaired under the default policy and fails
-    // fast, naming the segment, under --policy strict.
-    for token in ["NaN", "inf", "-inf", "1e400", "-0.25"] {
+    // A parseable anomaly exits 3 on every reader, naming the file, the
+    // segment and what is wrong with it; nothing is repaired.
+    for (token, kind) in [
+        ("NaN", "NaN"),
+        ("inf", "+inf"),
+        ("-inf", "-inf"),
+        ("1e400", "+inf"),
+        ("-0.25", "negative"),
+    ] {
         let at = rng.below(n);
         let mut lines = values.clone();
         lines[at] = token.to_string();
         let path = dir.write("anomaly.txt", &lines);
-        let out = partition(&path, false);
-        assert_eq!(out.status.code(), Some(0), "{token:?}: {out:?}");
-        let stdout = text(&out.stdout);
-        assert!(
-            stdout.contains("sanitized: repaired 1 anomalous densities"),
-            "{token:?}: {stdout}"
-        );
-        let out = partition(&path, true);
-        assert_eq!(out.status.code(), Some(3), "{token:?} strict: {out:?}");
-        let stderr = text(&out.stderr);
-        assert!(
-            stderr.contains(&format!("density[{at}]")),
-            "{token:?}: {stderr}"
-        );
+        let named = format!("{path}: density[{at}] is {kind}");
+        for (command, out) in every_reader(&path) {
+            assert_eq!(out.status.code(), Some(3), "{token:?} {command}: {out:?}");
+            let stderr = text(&out.stderr);
+            assert!(stderr.contains(&named), "{token:?} {command}: {stderr}");
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! Every recipe takes a `scale` in `(0, 1]` — 1.0 reproduces the paper's
 //! sizes, smaller values shrink networks and fleets proportionally for CI.
 
-use crate::error::Result;
+use crate::error::{Result, RoadpartError};
 use roadpart_net::{RoadNetwork, UrbanConfig};
 use roadpart_traffic::{
     generate_traffic, CongestionField, DensityHistory, MicrosimStats, MntgConfig, TemporalProfile,
@@ -45,6 +45,19 @@ fn blend_background(
     blended
 }
 
+/// Refuses a `scale` outside `(0, 1]`, NaN included: the generators would
+/// otherwise clamp the network's scale while still scaling the fleet and
+/// the step count by the raw value.
+fn check_scale(scale: f64) -> Result<()> {
+    if scale > 0.0 && scale <= 1.0 {
+        Ok(())
+    } else {
+        Err(RoadpartError::InvalidConfig(format!(
+            "dataset scale must lie in (0, 1], got {scale}"
+        )))
+    }
+}
+
 /// A ready-to-partition dataset: network plus a density time series.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -72,8 +85,10 @@ impl Dataset {
 /// evaluated at t = 71 (scaled along with the step count).
 ///
 /// # Errors
-/// Propagates generation failures.
+/// Returns [`RoadpartError::InvalidConfig`] for a `scale` outside `(0, 1]`;
+/// propagates generation failures.
 pub fn d1(scale: f64, seed: u64) -> Result<Dataset> {
+    check_scale(scale)?;
     let net = UrbanConfig::d1().scaled(scale).generate(seed)?;
     // Vehicle fleet sized to produce visible congestion on ~420 segments.
     let vehicles = ((5_000.0 * scale) as usize).max(50);
@@ -142,8 +157,10 @@ impl Melbourne {
 /// evaluated at the congestion peak.
 ///
 /// # Errors
-/// Propagates generation failures.
+/// Returns [`RoadpartError::InvalidConfig`] for a `scale` outside `(0, 1]`;
+/// propagates generation failures.
 pub fn melbourne(which: Melbourne, scale: f64, seed: u64) -> Result<Dataset> {
+    check_scale(scale)?;
     let net = which.urban().scaled(scale).generate(seed)?;
     let vehicles = ((which.vehicles() as f64 * scale) as usize).max(50);
     let cfg = MntgConfig {
@@ -189,6 +206,19 @@ mod tests {
         assert_eq!(ds.name, "M1");
         assert_eq!(ds.history.len(), 100);
         assert!(ds.eval_densities().iter().sum::<f64>() > 0.0);
+    }
+
+    #[test]
+    fn scale_outside_the_unit_interval_is_a_config_error() {
+        for scale in [0.0, -3.0, 7.0, 1.0 + 1e-9, f64::NAN, f64::INFINITY] {
+            let m1 = melbourne(Melbourne::M1, scale, 1).unwrap_err();
+            for err in [d1(scale, 1).unwrap_err(), m1] {
+                assert!(
+                    matches!(err, RoadpartError::InvalidConfig(_)),
+                    "{scale}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

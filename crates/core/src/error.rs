@@ -7,8 +7,10 @@ use std::fmt;
 pub enum RoadpartError {
     /// Configuration violates a documented precondition.
     InvalidConfig(String),
-    /// Input data (densities, labels, network files) is structurally
-    /// unusable and the active sanitization policy refuses to repair it.
+    /// Data is structurally unusable: a previous partition that does not
+    /// fit the graph, or a stage invariant violated. Densities the gate
+    /// refuses arrive as [`RoadpartError::Net`]
+    /// ([`roadpart_net::check_densities`]).
     InvalidData(String),
     /// Road-network layer failure.
     Net(roadpart_net::NetError),

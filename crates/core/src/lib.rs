@@ -40,7 +40,6 @@
 pub mod datasets;
 pub mod distributed;
 pub mod error;
-pub mod faults;
 pub mod jg;
 pub mod mining;
 pub mod pipeline;
@@ -54,13 +53,10 @@ pub mod supervisor;
 
 pub use distributed::{repartition_regions, DistributedConfig, DistributedOutcome, DriftReport};
 pub use error::{Result, RoadpartError};
-pub use faults::{Fault, FaultPlan};
 pub use jg::{jg_partition, JgConfig};
 pub use mining::{mine_supergraph, MiningConfig, MiningOutcome};
 pub use pipeline::{partition_network, PipelineConfig, PipelineResult, PipelineTimings};
-pub use sanitize::{
-    check_dual_graph, sanitize_densities, AnomalyKind, Repair, SanitizePolicy, ValidationReport,
-};
+pub use sanitize::{check_dual_graph, ValidationReport};
 pub use schemes::{run_scheme, FrameworkConfig, Scheme, SchemeOutcome};
 pub use select::{select_k, KCandidate, KSelection};
 pub use stability::{stability, stability_check, StableSupernode};
@@ -76,11 +72,10 @@ pub mod prelude {
     pub use crate::datasets::{self, Dataset, Melbourne};
     pub use crate::distributed::{repartition_regions, DistributedConfig};
     pub use crate::error::{Result, RoadpartError};
-    pub use crate::faults::{Fault, FaultPlan};
     pub use crate::jg::{jg_partition, JgConfig};
     pub use crate::mining::{mine_supergraph, MiningConfig};
     pub use crate::pipeline::{partition_network, PipelineConfig, PipelineResult};
-    pub use crate::sanitize::{sanitize_densities, SanitizePolicy, ValidationReport};
+    pub use crate::sanitize::ValidationReport;
     pub use crate::schemes::{run_scheme, FrameworkConfig, Scheme};
     pub use crate::select::{select_k, KSelection};
     pub use crate::supergraph::Supergraph;

@@ -114,7 +114,10 @@ fn stage_violation(stage: &str, err: impl std::fmt::Display) -> RoadpartError {
 /// `densities`, so one network can be re-partitioned across time steps).
 ///
 /// # Errors
-/// Propagates graph-construction, mining, and partitioning failures.
+/// Returns [`RoadpartError::Net`] with the density gate's error
+/// ([`roadpart_net::check_densities`]) when `densities` is not one finite,
+/// non-negative value per segment; propagates graph-construction, mining,
+/// and partitioning failures.
 pub fn partition_network(
     net: &RoadNetwork,
     densities: &[f64],

@@ -1,101 +1,23 @@
-//! Input sanitization for the partitioning pipeline.
+//! Degeneracy diagnostics for a partitioned road graph.
 //!
-//! Real congestion feeds are messy: sensors drop out (NaN), overflow
-//! (infinities), report negative occupancies, or deliver short files. The
-//! spectral pipeline downstream assumes finite non-negative densities, so
-//! everything entering [`crate::supervisor::run_supervised`] passes through
-//! here first. Two policies are supported:
-//!
-//! * [`SanitizePolicy::Strict`] — the first anomaly aborts the run with
-//!   [`crate::error::RoadpartError::InvalidData`];
-//! * [`SanitizePolicy::ClampAndWarn`] — anomalies are repaired
-//!   deterministically and every repair is recorded in a
-//!   [`ValidationReport`] so callers can audit what was touched.
-//!
-//! The module also flags *degenerate* inputs that are technically valid but
-//! deserve a warning: all-equal density vectors (no congestion structure to
-//! mine) and edgeless or disconnected dual graphs.
+//! Densities are checked where they enter the stack, by
+//! [`roadpart_net::check_densities`]: a NaN, infinite or negative value, or
+//! a vector of the wrong length, is refused with a data error and nothing
+//! is repaired. This module flags inputs that pass that gate but deserve a
+//! warning: all-equal density vectors (no congestion structure to mine)
+//! and edgeless or disconnected dual graphs.
 
-use crate::error::{Result, RoadpartError};
 use roadpart_cluster::count_components;
 use roadpart_linalg::CsrMatrix;
+use roadpart_net::RoadGraph;
 use serde::{Deserialize, Serialize};
 
-/// What to do when densities violate the pipeline's preconditions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SanitizePolicy {
-    /// Fail fast on the first anomaly.
-    Strict,
-    /// Repair anomalies in place and record each repair.
-    #[default]
-    ClampAndWarn,
-}
-
-/// The kind of anomaly found in a density value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AnomalyKind {
-    /// Not-a-number.
-    NaN,
-    /// Positive infinity.
-    PositiveInfinity,
-    /// Negative infinity.
-    NegativeInfinity,
-    /// Finite but negative (densities are occupancies, so `>= 0`).
-    Negative,
-}
-
-impl AnomalyKind {
-    /// Classifies a density value; `None` means the value is acceptable.
-    pub fn of(value: f64) -> Option<AnomalyKind> {
-        if value.is_nan() {
-            Some(AnomalyKind::NaN)
-        } else if value == f64::INFINITY {
-            Some(AnomalyKind::PositiveInfinity)
-        } else if value == f64::NEG_INFINITY {
-            Some(AnomalyKind::NegativeInfinity)
-        } else if value < 0.0 {
-            Some(AnomalyKind::Negative)
-        } else {
-            None
-        }
-    }
-
-    /// Human-readable label.
-    pub fn describe(self) -> &'static str {
-        match self {
-            AnomalyKind::NaN => "NaN",
-            AnomalyKind::PositiveInfinity => "+inf",
-            AnomalyKind::NegativeInfinity => "-inf",
-            AnomalyKind::Negative => "negative",
-        }
-    }
-}
-
-/// One repaired density value.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Repair {
-    /// Index into the density vector.
-    pub index: usize,
-    /// What was wrong with the original value.
-    pub kind: AnomalyKind,
-    /// The value written in its place.
-    pub replacement: f64,
-}
-
-/// Everything sanitization found and did — serializable so the supervisor
-/// can embed it in a run report.
+/// The degeneracy findings for one road graph — serializable so the
+/// supervisor can embed them in a run report.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ValidationReport {
-    /// Number of density values inspected (after length adjustment).
-    pub checked: usize,
-    /// Per-value repairs, in index order (`ClampAndWarn` only).
-    pub repairs: Vec<Repair>,
-    /// Values appended because the input was shorter than the network.
-    pub padded: usize,
-    /// Values dropped because the input was longer than the network.
-    pub truncated: usize,
-    /// True when every (repaired) density is identical — the congestion
-    /// field carries no structure for the miner to exploit.
+    /// True when every density is identical — the congestion field carries
+    /// no structure for the miner to exploit.
     pub all_equal: bool,
     /// Connected components of the dual graph, when checked.
     pub graph_components: Option<usize>,
@@ -104,115 +26,25 @@ pub struct ValidationReport {
 }
 
 impl ValidationReport {
-    /// True when the input needed no repair and raised no warnings.
-    pub fn is_clean(&self) -> bool {
-        self.repairs.is_empty()
-            && self.padded == 0
-            && self.truncated == 0
-            && self.warnings.is_empty()
-    }
-}
-
-/// The deterministic replacement for an anomalous value: the median of the
-/// finite non-negative inputs, or `0.0` when there are none.
-fn replacement_value(densities: &[f64]) -> f64 {
-    let mut finite: Vec<f64> = densities
-        .iter()
-        .copied()
-        .filter(|v| v.is_finite() && *v >= 0.0)
-        .collect();
-    if finite.is_empty() {
-        return 0.0;
-    }
-    finite.sort_by(f64::total_cmp);
-    finite[finite.len() / 2]
-}
-
-/// Validates (and under [`SanitizePolicy::ClampAndWarn`] repairs) a density
-/// vector destined for a network with `expected_len` segments.
-///
-/// Repairs: NaN and infinities become the median of the finite non-negative
-/// values; negatives are clamped to `0.0`; short inputs are padded with the
-/// median; long inputs are truncated. All of it lands in the report.
-///
-/// # Errors
-/// Under [`SanitizePolicy::Strict`], any anomaly or length mismatch returns
-/// [`RoadpartError::InvalidData`]. An empty vector for a non-empty network
-/// is rejected under both policies: there is nothing to extrapolate from.
-pub fn sanitize_densities(
-    densities: &[f64],
-    expected_len: usize,
-    policy: SanitizePolicy,
-) -> Result<(Vec<f64>, ValidationReport)> {
-    let mut report = ValidationReport::default();
-
-    if densities.is_empty() && expected_len > 0 {
-        return Err(RoadpartError::InvalidData(format!(
-            "empty density vector for a network with {expected_len} segments"
-        )));
-    }
-    if densities.len() != expected_len && policy == SanitizePolicy::Strict {
-        return Err(RoadpartError::InvalidData(format!(
-            "{} densities for {expected_len} segments",
-            densities.len()
-        )));
-    }
-
-    let fill = replacement_value(densities);
-    let mut clean = densities.to_vec();
-    if clean.len() > expected_len {
-        report.truncated = clean.len() - expected_len;
-        report
-            .warnings
-            .push(format!("dropped {} trailing densities", report.truncated));
-        clean.truncate(expected_len);
-    } else if clean.len() < expected_len {
-        report.padded = expected_len - clean.len();
-        report.warnings.push(format!(
-            "padded {} missing densities with the median {fill}",
-            report.padded
-        ));
-        clean.resize(expected_len, fill);
-    }
-    report.checked = clean.len();
-
-    for (index, value) in clean.iter_mut().enumerate() {
-        let Some(kind) = AnomalyKind::of(*value) else {
-            continue;
+    /// Diagnoses a road graph: the all-equal flag over its features, then
+    /// the dual-graph checks of [`check_dual_graph`].
+    pub fn of(graph: &RoadGraph) -> Self {
+        let features = graph.features();
+        let mut report = ValidationReport {
+            all_equal: features.len() > 1
+                && features
+                    .windows(2)
+                    .all(|w| w[0].to_bits() == w[1].to_bits()),
+            ..ValidationReport::default()
         };
-        if policy == SanitizePolicy::Strict {
-            return Err(RoadpartError::InvalidData(format!(
-                "density[{index}] is {} ({value})",
-                kind.describe()
-            )));
+        if report.all_equal {
+            report.warnings.push(
+                "all densities are equal; the congestion field has no structure to mine".into(),
+            );
         }
-        let replacement = match kind {
-            AnomalyKind::NaN | AnomalyKind::PositiveInfinity => fill,
-            AnomalyKind::NegativeInfinity | AnomalyKind::Negative => 0.0,
-        };
-        *value = replacement;
-        report.repairs.push(Repair {
-            index,
-            kind,
-            replacement,
-        });
-    }
-    if !report.repairs.is_empty() {
-        report.warnings.push(format!(
-            "repaired {} anomalous densities",
-            report.repairs.len()
-        ));
-    }
-
-    report.all_equal =
-        clean.len() > 1 && clean.windows(2).all(|w| w[0].to_bits() == w[1].to_bits());
-    if report.all_equal {
+        check_dual_graph(graph.adjacency(), &mut report);
         report
-            .warnings
-            .push("all densities are equal; the congestion field has no structure to mine".into());
     }
-
-    Ok((clean, report))
 }
 
 /// Checks the dual road graph for degenerate topology, appending findings to
@@ -244,67 +76,26 @@ pub fn check_dual_graph(adj: &CsrMatrix, report: &mut ValidationReport) {
 mod tests {
     use super::*;
 
+    fn path_graph(features: Vec<f64>) -> RoadGraph {
+        let n = features.len();
+        let edges: Vec<(usize, usize, f64)> = (1..n).map(|i| (i - 1, i, 1.0)).collect();
+        let adj = CsrMatrix::from_undirected_edges(n, &edges).unwrap();
+        RoadGraph::from_parts(adj, features, vec![]).unwrap()
+    }
+
     #[test]
     fn clean_input_passes_untouched() {
-        let d = [0.1, 0.5, 0.9];
-        let (clean, report) = sanitize_densities(&d, 3, SanitizePolicy::Strict).unwrap();
-        assert_eq!(clean, d);
-        assert!(report.is_clean());
+        let report = ValidationReport::of(&path_graph(vec![0.1, 0.5, 0.9]));
         assert!(!report.all_equal);
-    }
-
-    #[test]
-    fn strict_rejects_each_anomaly_kind() {
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
-            let d = [0.1, bad, 0.9];
-            let err = sanitize_densities(&d, 3, SanitizePolicy::Strict).unwrap_err();
-            assert!(matches!(err, RoadpartError::InvalidData(_)), "{bad}: {err}");
-        }
-    }
-
-    #[test]
-    fn clamp_repairs_and_reports_indices() {
-        let d = [0.2, f64::NAN, -1.0, f64::INFINITY, 0.4, 0.6];
-        let (clean, report) = sanitize_densities(&d, 6, SanitizePolicy::ClampAndWarn).unwrap();
-        assert!(clean.iter().all(|v| v.is_finite() && *v >= 0.0));
-        let repaired: Vec<usize> = report.repairs.iter().map(|r| r.index).collect();
-        assert_eq!(repaired, vec![1, 2, 3]);
-        assert_eq!(report.repairs[0].kind, AnomalyKind::NaN);
-        assert_eq!(report.repairs[1].kind, AnomalyKind::Negative);
-        assert_eq!(report.repairs[1].replacement, 0.0);
-        assert_eq!(report.repairs[2].kind, AnomalyKind::PositiveInfinity);
-        // NaN and +inf take the median of {0.2, 0.4, 0.6}.
-        assert_eq!(report.repairs[0].replacement, 0.4);
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn length_mismatches() {
-        let d = [0.1, 0.2];
-        assert!(sanitize_densities(&d, 4, SanitizePolicy::Strict).is_err());
-        let (clean, report) = sanitize_densities(&d, 4, SanitizePolicy::ClampAndWarn).unwrap();
-        assert_eq!(clean.len(), 4);
-        assert_eq!(report.padded, 2);
-        let (clean, report) = sanitize_densities(&d, 1, SanitizePolicy::ClampAndWarn).unwrap();
-        assert_eq!(clean.len(), 1);
-        assert_eq!(report.truncated, 1);
-        assert!(sanitize_densities(&[], 3, SanitizePolicy::ClampAndWarn).is_err());
+        assert_eq!(report.graph_components, Some(1));
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     }
 
     #[test]
     fn all_equal_detected() {
-        let (_, report) = sanitize_densities(&[0.5; 8], 8, SanitizePolicy::Strict).unwrap();
+        let report = ValidationReport::of(&path_graph(vec![0.5; 8]));
         assert!(report.all_equal);
-        assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn all_anomalous_vector_repairs_to_zero() {
-        let d = [f64::NAN, f64::NAN];
-        let (clean, report) = sanitize_densities(&d, 2, SanitizePolicy::ClampAndWarn).unwrap();
-        assert_eq!(clean, vec![0.0, 0.0]);
-        assert_eq!(report.repairs.len(), 2);
-        assert!(report.all_equal);
+        assert_eq!(report.warnings.len(), 1, "{:?}", report.warnings);
     }
 
     #[test]
@@ -329,11 +120,14 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let d = [0.2, f64::NAN, 0.8];
-        let (_, report) = sanitize_densities(&d, 3, SanitizePolicy::ClampAndWarn).unwrap();
+        let adj = CsrMatrix::from_undirected_edges(4, &[(0, 1, 1.0), (2, 3, 1.0)]).unwrap();
+        let graph = RoadGraph::from_parts(adj, vec![0.2; 4], vec![]).unwrap();
+        let report = ValidationReport::of(&graph);
+        assert_eq!(report.warnings.len(), 2, "all-equal and disconnected");
         let json = serde_json::to_string(&report).unwrap();
         let back: ValidationReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.repairs.len(), report.repairs.len());
-        assert_eq!(back.repairs[0].kind, AnomalyKind::NaN);
+        assert!(back.all_equal);
+        assert_eq!(back.graph_components, Some(2));
+        assert_eq!(back.warnings, report.warnings);
     }
 }

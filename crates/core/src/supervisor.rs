@@ -3,8 +3,9 @@
 //! [`run_supervised`] wraps [`partition_network`] with the full recovery
 //! stack:
 //!
-//! 1. densities are sanitized per [`SanitizePolicy`] and the dual graph is
-//!    checked for degeneracy ([`crate::sanitize`]);
+//! 1. densities pass the density gate ([`roadpart_net::check_densities`])
+//!    once, before any attempt: a refused vector is a data error, with no
+//!    attempt recorded and no degradation tried;
 //! 2. transient numerical failures ([`RoadpartError::is_retryable`]) are
 //!    retried up to [`SupervisorConfig::max_attempts`] times, rotating the
 //!    seed of every stochastic component between attempts
@@ -15,16 +16,16 @@
 //! 4. every attempt — and every eigensolver fallback rung inside it — lands
 //!    in a machine-readable [`RunReport`] the CLI can serialize.
 //!
-//! Structural errors (bad config, unrepairable data, structural cut and
-//! clustering failures) are never retried with another seed: re-running
-//! cannot change them.
+//! Structural errors (bad config, bad data, structural cut and clustering
+//! failures) are never retried with another seed: re-running cannot change
+//! them.
 
 use crate::error::{Result, RoadpartError};
 use crate::pipeline::{partition_network, PipelineConfig, PipelineResult, PipelineTimings};
-use crate::sanitize::{check_dual_graph, sanitize_densities, SanitizePolicy, ValidationReport};
+use crate::sanitize::ValidationReport;
 use crate::schemes::Scheme;
 use roadpart_linalg::RecoveryLog;
-use roadpart_net::{RoadGraph, RoadNetwork};
+use roadpart_net::{check_densities, RoadNetwork};
 use serde::{Deserialize, Serialize};
 
 /// Configuration for [`run_supervised`].
@@ -32,8 +33,6 @@ use serde::{Deserialize, Serialize};
 pub struct SupervisorConfig {
     /// The pipeline to supervise (scheme, k, framework knobs).
     pub pipeline: PipelineConfig,
-    /// How to treat anomalous densities.
-    pub policy: SanitizePolicy,
     /// Attempts per scheme (the original and, if degradation kicks in, the
     /// direct fallback each get this many). Clamped to at least 1.
     pub max_attempts: usize,
@@ -51,12 +50,11 @@ pub fn rotated_seed(base: u64, attempt: usize) -> u64 {
 }
 
 impl SupervisorConfig {
-    /// Supervision with the default robustness posture: clamp-and-warn
-    /// sanitization, three attempts per scheme, degradation enabled.
+    /// Supervision with the default robustness posture: three attempts
+    /// per scheme, degradation enabled.
     pub fn new(pipeline: PipelineConfig) -> Self {
         Self {
             pipeline,
-            policy: SanitizePolicy::ClampAndWarn,
             max_attempts: 3,
         }
     }
@@ -87,7 +85,8 @@ pub struct RunReport {
     pub final_scheme: Option<Scheme>,
     /// Every attempt, in execution order.
     pub attempts: Vec<AttemptRecord>,
-    /// What input sanitization found and repaired.
+    /// Degeneracy diagnostics ([`crate::sanitize`]) of the road graph the
+    /// successful attempt partitioned.
     pub validation: ValidationReport,
     /// Eigensolver fallback activity of the successful attempt.
     pub recoveries: RecoveryLog,
@@ -123,19 +122,17 @@ pub fn error_chain(err: &dyn std::error::Error) -> String {
 /// Runs the pipeline under supervision; see the module docs for the ladder.
 ///
 /// # Errors
-/// Returns the sanitization error for unrepairable input, or the last
-/// attempt's error once every scheme in the degradation schedule is out of
-/// attempts. The error chain of every failed attempt survives in the report
-/// of a *successful* run; a fully failed run only reports the final error.
+/// Returns the density gate's error ([`check_densities`]) for a refused
+/// vector, or the last attempt's error once every scheme in the
+/// degradation schedule is out of attempts. The error chain of every failed
+/// attempt survives in the report of a *successful* run; a fully failed run
+/// only reports the final error.
 pub fn run_supervised(
     net: &RoadNetwork,
     densities: &[f64],
     cfg: &SupervisorConfig,
 ) -> Result<SupervisedRun> {
-    let (clean, mut validation) = sanitize_densities(densities, net.segment_count(), cfg.policy)?;
-    let graph = RoadGraph::from_network(net)?;
-    check_dual_graph(graph.adjacency(), &mut validation);
-    drop(graph);
+    check_densities(densities, net.segment_count())?;
 
     let requested = cfg.pipeline.scheme;
     let mut schedule = vec![requested];
@@ -155,7 +152,7 @@ pub fn run_supervised(
             if attempt > 0 {
                 run_cfg = run_cfg.with_seed(seed);
             }
-            match partition_network(net, &clean, &run_cfg) {
+            match partition_network(net, densities, &run_cfg) {
                 Ok(result) => {
                     attempts.push(AttemptRecord {
                         attempt,
@@ -168,7 +165,7 @@ pub fn run_supervised(
                         requested_scheme: requested,
                         final_scheme: Some(scheme),
                         attempts,
-                        validation,
+                        validation: ValidationReport::of(&result.graph),
                         recoveries: result.recovery.clone(),
                         degraded: phase > 0,
                         succeeded: true,
@@ -233,25 +230,18 @@ mod tests {
     }
 
     #[test]
-    fn nan_densities_recovered_under_clamp_rejected_under_strict() {
+    fn anomalous_densities_are_refused_before_any_attempt() {
         let (net, mut densities) = small_net_and_densities();
-        for i in (0..densities.len()).step_by(7) {
+        for i in (3..densities.len()).step_by(7) {
             densities[i] = f64::NAN;
         }
-        let mut cfg = SupervisorConfig::new(PipelineConfig::asg(3).with_seed(5));
-        let run = run_supervised(&net, &densities, &cfg).unwrap();
-        assert!(!run.report.validation.repairs.is_empty());
-        assert!(run
-            .report
-            .validation
-            .repairs
-            .iter()
-            .all(|r| r.index % 7 == 0));
-        assert_eq!(run.result.partition.len(), net.segment_count());
-
-        cfg.policy = SanitizePolicy::Strict;
-        let err = run_supervised(&net, &densities, &cfg).unwrap_err();
-        assert!(matches!(err, RoadpartError::InvalidData(_)), "{err}");
+        // The gate's data error, not an attempt's: nothing ran, so nothing
+        // was retried or degraded to AG.
+        let cfg = SupervisorConfig::new(PipelineConfig::asg(3).with_seed(5));
+        match run_supervised(&net, &densities, &cfg) {
+            Err(RoadpartError::Net(e)) => assert_eq!(e.to_string(), "density[3] is NaN"),
+            other => panic!("expected the gate's error, got {other:?}"),
+        }
     }
 
     #[test]

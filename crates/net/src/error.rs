@@ -1,5 +1,6 @@
 //! Error types for road-network construction and I/O.
 
+use crate::sanitize::AnomalyKind;
 use std::fmt;
 
 /// Errors produced while building or loading road networks.
@@ -21,6 +22,22 @@ pub enum NetError {
     },
     /// Generic structural invalidity (empty network, bad counts, ...).
     Invalid(String),
+    /// A density that is not finite and non-negative
+    /// ([`crate::check_densities`]).
+    Density {
+        /// Index of the first offending segment.
+        index: usize,
+        /// What is wrong with its value.
+        kind: AnomalyKind,
+    },
+    /// A density vector whose length is not the segment count
+    /// ([`crate::check_densities`]).
+    DensityCount {
+        /// Values supplied.
+        found: usize,
+        /// Segments they must cover.
+        segments: usize,
+    },
     /// Underlying linear-algebra failure while building adjacency matrices.
     Linalg(roadpart_linalg::LinalgError),
     /// I/O failure while reading or writing network files.
@@ -48,6 +65,12 @@ impl fmt::Display for NetError {
                 write!(f, "{what} must be positive, got {value}")
             }
             NetError::Invalid(msg) => write!(f, "invalid network: {msg}"),
+            NetError::Density { index, kind } => {
+                write!(f, "density[{index}] is {}", kind.describe())
+            }
+            NetError::DensityCount { found, segments } => {
+                write!(f, "{found} densities for {segments} segments")
+            }
             NetError::Linalg(e) => write!(f, "linear algebra error: {e}"),
             NetError::Io(e) => write!(f, "i/o error: {e}"),
             NetError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),

@@ -18,7 +18,9 @@ use std::io::{BufWriter, Write};
 /// become feature properties for styling.
 ///
 /// # Errors
-/// Returns an error on property-length mismatch or write failure.
+/// Returns an error for a label vector of the wrong length, the
+/// [`crate::check_densities`] error for `densities` (a NaN would not even
+/// be valid JSON), or the write failure.
 pub fn write_geojson<W: Write>(
     net: &RoadNetwork,
     labels: Option<&[usize]>,
@@ -35,12 +37,7 @@ pub fn write_geojson<W: Write>(
         }
     }
     if let Some(d) = densities {
-        if d.len() != n {
-            return Err(crate::error::NetError::Invalid(format!(
-                "density vector length {} != segment count {n}",
-                d.len()
-            )));
-        }
+        crate::sanitize::check_densities(d, n)?;
     }
     let mut w = BufWriter::new(w);
     writeln!(w, "{{")?;
@@ -116,5 +113,6 @@ mod tests {
         let mut buf = Vec::new();
         assert!(write_geojson(&net, Some(&[0]), None, &mut buf).is_err());
         assert!(write_geojson(&net, None, Some(&[0.0]), &mut buf).is_err());
+        assert!(write_geojson(&net, None, Some(&[0.5, f64::NAN]), &mut buf).is_err());
     }
 }

@@ -2,6 +2,7 @@
 
 use crate::error::{NetError, Result};
 use crate::ids::{IntersectionId, SegmentId};
+use crate::sanitize::{check_densities, check_density};
 use serde::{Deserialize, Serialize};
 
 /// An intersection point with planar coordinates in metres.
@@ -52,8 +53,9 @@ impl RoadNetwork {
     ///
     /// # Errors
     /// Returns [`NetError::DanglingIntersection`] if a segment references a
-    /// missing intersection and [`NetError::NonPositive`] for non-positive
-    /// lengths or speeds.
+    /// missing intersection, [`NetError::NonPositive`] for non-positive
+    /// lengths or speeds, and [`NetError::Density`] for a density the gate
+    /// ([`check_densities`]) refuses.
     pub fn new(intersections: Vec<Intersection>, segments: Vec<RoadSegment>) -> Result<Self> {
         let n = intersections.len();
         for (i, seg) in segments.iter().enumerate() {
@@ -85,12 +87,7 @@ impl RoadNetwork {
                     value: seg.free_speed_mps,
                 });
             }
-            if !seg.density.is_finite() || seg.density < 0.0 {
-                return Err(NetError::Invalid(format!(
-                    "segment {i} has invalid density {}",
-                    seg.density
-                )));
-            }
+            check_density(i, seg.density)?;
         }
         let mut net = Self {
             intersections,
@@ -157,12 +154,6 @@ impl RoadNetwork {
         &self.outgoing[id.index()]
     }
 
-    /// Segments arriving at `id`.
-    #[inline]
-    pub fn incoming(&self, id: IntersectionId) -> &[SegmentId] {
-        &self.incoming[id.index()]
-    }
-
     /// Segments a vehicle can continue onto after traversing `id`: the
     /// outgoing segments of its downstream intersection. This is the edge
     /// relation of the segment-transition graph the serving layer routes
@@ -188,21 +179,11 @@ impl RoadNetwork {
     /// Overwrites all segment densities.
     ///
     /// # Errors
-    /// Returns [`NetError::Invalid`] if the length mismatches or any value
-    /// is negative / non-finite.
+    /// Returns the [`check_densities`] error for a vector of the wrong
+    /// length or holding a NaN, infinite or negative value; nothing is
+    /// overwritten.
     pub fn set_densities(&mut self, densities: &[f64]) -> Result<()> {
-        if densities.len() != self.segments.len() {
-            return Err(NetError::Invalid(format!(
-                "density vector length {} != segment count {}",
-                densities.len(),
-                self.segments.len()
-            )));
-        }
-        if densities.iter().any(|d| !d.is_finite() || *d < 0.0) {
-            return Err(NetError::Invalid(
-                "densities must be finite and non-negative".into(),
-            ));
-        }
+        check_densities(densities, self.segments.len())?;
         for (seg, &d) in self.segments.iter_mut().zip(densities) {
             seg.density = d;
         }
@@ -326,7 +307,6 @@ mod tests {
     fn incidence_lists() {
         let net = tiny();
         assert_eq!(net.outgoing(IntersectionId(1)).len(), 2);
-        assert_eq!(net.incoming(IntersectionId(1)).len(), 1);
         let incident: Vec<_> = net.incident(IntersectionId(0)).collect();
         assert_eq!(incident.len(), 2); // s0 out, s2 in
     }
@@ -378,8 +358,10 @@ mod tests {
         };
         assert!(mk(0.0, 10.0, 0.0).is_err());
         assert!(mk(10.0, -1.0, 0.0).is_err());
-        assert!(mk(10.0, 10.0, -0.5).is_err());
-        assert!(mk(10.0, 10.0, f64::NAN).is_err());
+        let err = mk(10.0, 10.0, -0.5).unwrap_err();
+        assert_eq!(err.to_string(), "density[0] is negative");
+        let err = mk(10.0, 10.0, f64::NAN).unwrap_err();
+        assert_eq!(err.to_string(), "density[0] is NaN");
     }
 
     #[test]
@@ -389,7 +371,9 @@ mod tests {
         net.set_densities(&[0.5, 0.6, 0.7]).unwrap();
         assert_eq!(net.densities(), vec![0.5, 0.6, 0.7]);
         assert!(net.set_densities(&[0.1]).is_err());
-        assert!(net.set_densities(&[0.1, -0.2, 0.3]).is_err());
+        let err = net.set_densities(&[0.1, -0.2, 0.3]).unwrap_err();
+        assert_eq!(err.to_string(), "density[1] is negative");
+        assert_eq!(net.densities(), vec![0.5, 0.6, 0.7], "nothing overwritten");
     }
 
     #[test]

@@ -5,14 +5,18 @@
 //! point. Star topologies in the network therefore become cliques in the
 //! graph, and linear stretches stay linear, exactly as §2.1 describes.
 
-use crate::error::Result;
+use crate::error::{NetError, Result};
 use crate::ids::SegmentId;
 use crate::network::RoadNetwork;
+use crate::sanitize::check_densities;
 use roadpart_linalg::CsrMatrix;
 use std::collections::BTreeSet;
 
 /// The dual road graph: binary adjacency over segments plus per-node
 /// features (traffic densities) and planar positions (segment midpoints).
+/// Its features pass the density gate ([`check_densities`]) on the way in:
+/// [`RoadGraph::from_parts`] and [`RoadGraph::set_features`] run it, and
+/// [`RoadGraph::from_network`] takes densities [`RoadNetwork::new`] checked.
 #[derive(Debug, Clone)]
 pub struct RoadGraph {
     adjacency: CsrMatrix,
@@ -65,25 +69,20 @@ impl RoadGraph {
     /// supergraph machinery, which manufactures graphs without a network).
     ///
     /// # Errors
-    /// Returns an error if `features.len() != adjacency.dim()`.
+    /// Returns the [`check_densities`] error for `features`, and
+    /// [`NetError::Invalid`] for a non-empty `positions` of the wrong length.
     pub fn from_parts(
         adjacency: CsrMatrix,
         features: Vec<f64>,
         positions: Vec<(f64, f64)>,
     ) -> Result<Self> {
-        if features.len() != adjacency.dim() {
-            return Err(crate::error::NetError::Invalid(format!(
-                "feature vector length {} != graph order {}",
-                features.len(),
-                adjacency.dim()
-            )));
-        }
+        check_densities(&features, adjacency.dim())?;
         let positions = if positions.is_empty() {
             vec![(0.0, 0.0); adjacency.dim()]
         } else if positions.len() == adjacency.dim() {
             positions
         } else {
-            return Err(crate::error::NetError::Invalid(format!(
+            return Err(NetError::Invalid(format!(
                 "position vector length {} != graph order {}",
                 positions.len(),
                 adjacency.dim()
@@ -124,15 +123,11 @@ impl RoadGraph {
     /// network at a new time step).
     ///
     /// # Errors
-    /// Returns an error on length mismatch.
+    /// Returns the [`check_densities`] error for a vector of the wrong
+    /// length or holding a NaN, infinite or negative value; the features
+    /// are left unchanged.
     pub fn set_features(&mut self, features: Vec<f64>) -> Result<()> {
-        if features.len() != self.node_count() {
-            return Err(crate::error::NetError::Invalid(format!(
-                "feature vector length {} != graph order {}",
-                features.len(),
-                self.node_count()
-            )));
-        }
+        check_densities(&features, self.node_count())?;
         self.features = features;
         Ok(())
     }
@@ -262,6 +257,26 @@ mod tests {
         g.set_features(vec![5.0, 6.0]).unwrap();
         assert_eq!(g.features(), &[5.0, 6.0]);
         assert!(g.set_features(vec![1.0]).is_err());
+    }
+
+    #[test]
+    fn anomalous_features_are_refused_and_leave_the_graph_unchanged() {
+        let a = CsrMatrix::from_undirected_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]).unwrap();
+        let mut g = RoadGraph::from_parts(a.clone(), vec![0.1, 0.2, 0.3], vec![]).unwrap();
+        for (bad, kind) in [
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "+inf"),
+            (f64::NEG_INFINITY, "-inf"),
+            (-0.1, "negative"),
+        ] {
+            let features = vec![0.1, 0.2, bad];
+            let msg = format!("density[2] is {kind}");
+            let err = RoadGraph::from_parts(a.clone(), features.clone(), vec![]).unwrap_err();
+            assert_eq!(err.to_string(), msg);
+            let err = g.set_features(features).unwrap_err();
+            assert_eq!(err.to_string(), msg);
+            assert_eq!(g.features(), &[0.1, 0.2, 0.3], "{kind}: features kept");
+        }
     }
 
     #[test]

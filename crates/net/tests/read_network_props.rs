@@ -6,7 +6,7 @@
 //! records (which would abort the process).
 
 use roadpart_net::io::read_network;
-use roadpart_net::NetError;
+use roadpart_net::{AnomalyKind, NetError};
 
 /// Minimal deterministic RNG (LCG, Numerical Recipes constants) so the
 /// "random" files are reproducible across runs and platforms.
@@ -189,7 +189,16 @@ fn non_finite_or_negative_densities_are_rejected() {
         let bad = rng.pick(&["NaN", "inf", "-inf", "1e400", "-0.5", "-1e-9"]);
         file.set_field(at, 4, bad);
         if bad.parse::<f64>().unwrap().is_finite() {
-            Box::new(|e: &NetError| assert!(matches!(e, NetError::Invalid(_)), "{e}"))
+            Box::new(|e: &NetError| {
+                let negative = matches!(
+                    e,
+                    NetError::Density {
+                        kind: AnomalyKind::Negative,
+                        ..
+                    }
+                );
+                assert!(negative, "{e}");
+            })
         } else {
             Box::new(parse_error)
         }

@@ -3,7 +3,7 @@
 //!
 //! This file is listed in the audit `hot-loop-alloc` modules: nothing here
 //! may allocate. All state lives in a borrowed [`DijkstraScratch`] that
-//! the caller seeds via [`DijkstraScratch::seed`] (and resets between
+//! the caller seeds via `DijkstraScratch::seed` (and resets between
 //! runs); the kernels only pop the frontier, relax edges, and record
 //! predecessors. Unreachable nodes simply keep `INFINITY` distances —
 //! turning that into a typed [`crate::ServeError::NoRoute`] is the

@@ -5,16 +5,17 @@
 //! partitions on an *aggregate* of the recent feed, with the smoothing
 //! choices exposed by [`AggregateKind`].
 //!
-//! [`DensityAggregator::push`] is the one gate every streamed density
-//! passes: a snapshot of the wrong length, or holding a NaN, ±∞ or negative
-//! value ([`AnomalyKind::of`], the classifier `core::sanitize` repairs
-//! with), is rejected whole and the aggregate is left untouched. Behind the
-//! gate the aggregator keeps only the running state its kind reads — the
-//! last snapshot, the last `w` snapshots, or one EWMA vector — so memory is
-//! bounded on an unbounded feed without a history to compact.
+//! [`DensityAggregator::push`] runs every streamed snapshot through the
+//! density gate, [`roadpart_net::check_densities`], the check every other
+//! entry point runs: a snapshot of the wrong length, or holding a NaN, ±∞
+//! or negative value, is rejected whole with the gate's message and the
+//! aggregate is left untouched. Behind the gate the aggregator keeps only
+//! the running state its kind reads — the last snapshot, the last `w`
+//! snapshots, or one EWMA vector — so memory is bounded on an unbounded
+//! feed without a history to compact.
 
 use crate::error::{Result, StreamError};
-use roadpart::sanitize::AnomalyKind;
+use roadpart_net::check_densities;
 use std::collections::VecDeque;
 
 /// How the recent density feed is reduced to one value per segment.
@@ -28,29 +29,6 @@ pub enum AggregateKind {
     /// `alpha` in `(0, 1]`: seeded with the first snapshot, then
     /// `e ← e + alpha·(x − e)` on every push.
     Ewma(f64),
-}
-
-/// Checks that `densities` has one value per segment of an
-/// `n_segments`-segment network and that every value is finite and
-/// non-negative.
-///
-/// # Errors
-/// Returns [`StreamError::InvalidUpdate`] naming the length mismatch, or the
-/// first bad segment and its [`AnomalyKind`] (`density[17] is negative`).
-pub(crate) fn check_densities(densities: &[f64], n_segments: usize) -> Result<()> {
-    if densities.len() != n_segments {
-        return Err(StreamError::InvalidUpdate(format!(
-            "snapshot covers {} segments, network has {n_segments}",
-            densities.len()
-        )));
-    }
-    for (i, &d) in densities.iter().enumerate() {
-        if let Some(kind) = AnomalyKind::of(d) {
-            let msg = format!("density[{i}] is {}", kind.describe());
-            return Err(StreamError::InvalidUpdate(msg));
-        }
-    }
-    Ok(())
 }
 
 /// Accumulates per-segment density updates and serves the current
@@ -99,11 +77,13 @@ impl DensityAggregator {
     /// Ingests one density snapshot.
     ///
     /// # Errors
-    /// Returns [`StreamError::InvalidUpdate`] on a length mismatch or any
-    /// NaN, infinite or negative entry, naming the first bad segment; the
+    /// Returns [`StreamError::InvalidUpdate`] carrying the gate's message
+    /// for a length mismatch (`2 densities for 3 segments`) or the first
+    /// NaN, infinite or negative entry (`density[17] is negative`); the
     /// aggregate is unchanged.
     pub fn push(&mut self, densities: &[f64]) -> Result<()> {
-        check_densities(densities, self.n_segments)?;
+        check_densities(densities, self.n_segments)
+            .map_err(|e| StreamError::InvalidUpdate(e.to_string()))?;
         let held = match self.kind {
             AggregateKind::Latest => 1,
             AggregateKind::WindowMean(w) => w,
@@ -270,8 +250,8 @@ mod tests {
     #[test]
     fn every_kind_rejects_bad_snapshots_and_keeps_its_aggregate() {
         let bad: [(&[f64], &str); 6] = [
-            (&[], "snapshot covers 0 segments, network has 3"),
-            (&[0.1, 0.2], "snapshot covers 2 segments, network has 3"),
+            (&[], "0 densities for 3 segments"),
+            (&[0.1, 0.2], "2 densities for 3 segments"),
             (&[0.1, 0.2, f64::NAN], "density[2] is NaN"),
             (&[0.1, f64::INFINITY, 0.3], "density[1] is +inf"),
             (&[f64::NEG_INFINITY, 0.2, 0.3], "density[0] is -inf"),

@@ -16,8 +16,6 @@
 //! Versions are strictly monotonic and survive no-op epochs unchanged, so a
 //! consumer can cheaply detect "partition changed since I last looked".
 
-use roadpart_net::SegmentId;
-
 // Under `--cfg loom` the store is built on the model checker's sync types
 // so `tests/loom_snapshot.rs` can explore publish/read interleavings; the
 // loom stub's `Arc` is a re-export of `std::sync::Arc`, so the public
@@ -61,12 +59,6 @@ impl PartitionSnapshot {
     #[inline]
     pub fn lookup(&self, seg: usize) -> Option<usize> {
         self.labels.get(seg).copied()
-    }
-
-    /// [`Self::lookup`] with the typed segment id.
-    #[inline]
-    pub fn lookup_segment(&self, seg: SegmentId) -> Option<usize> {
-        self.lookup(seg.index())
     }
 
     /// The full labeling (one partition id per segment).
@@ -170,7 +162,6 @@ mod tests {
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.k, 3);
         assert_eq!(snap.lookup(2), Some(1));
-        assert_eq!(snap.lookup_segment(SegmentId::from_index(3)), Some(2));
         assert_eq!(snap.lookup(4), None);
     }
 

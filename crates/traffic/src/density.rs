@@ -7,8 +7,8 @@ use serde::{Deserialize, Serialize};
 ///
 /// A plain record of what a producer (the microsimulation, MNTG, a
 /// scenario replay) generated: it stores snapshots as given and checks only
-/// their length. Consumers check values where they enter — the stream
-/// engine's `DensityAggregator::push`, the supervisor's sanitizer.
+/// their length. Consumers check values where they enter, with the
+/// density gate `roadpart_net::check_densities`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DensityHistory {
     n_segments: usize,

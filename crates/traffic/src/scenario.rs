@@ -233,7 +233,7 @@ impl Scenario {
     }
 
     /// Densities of an analytic field at time `t` with the scenario
-    /// applied — the per-step generator the replay helpers use.
+    /// applied.
     pub fn disrupted_densities(
         &self,
         net: &RoadNetwork,
@@ -244,28 +244,6 @@ impl Scenario {
         let mut d = field.densities(net, t, profile);
         self.apply(net, t, &mut d);
         d
-    }
-
-    /// Replays the scenario over an analytic field: `steps` snapshots at
-    /// evenly spaced normalized times.
-    pub fn replay_field(
-        &self,
-        net: &RoadNetwork,
-        field: &CongestionField,
-        profile: &TemporalProfile,
-        steps: usize,
-    ) -> DensityHistory {
-        let steps = steps.max(1);
-        let mut history = DensityHistory::new(net.segment_count());
-        for s in 0..steps {
-            let t = if steps == 1 {
-                0.0
-            } else {
-                s as f64 / (steps - 1) as f64
-            };
-            history.push(self.disrupted_densities(net, field, t, profile));
-        }
-        history
     }
 
     /// Overlays the scenario on a recorded history (e.g. a microsim trace):
@@ -569,15 +547,23 @@ mod tests {
                 spill: 1.0,
             },
         ));
-        let a = s.replay_field(&net, &field, &profile, 9);
-        let b = s.replay_field(&net, &field, &profile, 9);
+        let times: Vec<f64> = (0..9).map(|s| s as f64 / 8.0).collect();
+        let replay = |scenario: &Scenario| {
+            let mut history = DensityHistory::new(net.segment_count());
+            for &t in &times {
+                history.push(scenario.disrupted_densities(&net, &field, t, &profile));
+            }
+            history
+        };
+        let a = replay(&s);
+        let b = replay(&s);
         assert_eq!(a.len(), 9);
         for t in 0..a.len() {
             assert_eq!(a.at(t), b.at(t), "replay must be deterministic");
             assert!(a.at(t).iter().all(|d| d.is_finite() && *d >= 0.0));
         }
         // Overlaying on a recorded history matches the per-step transform.
-        let clean = Scenario::new("none").replay_field(&net, &field, &profile, 9);
+        let clean = replay(&Scenario::new("none"));
         let overlaid = s.apply_history(&net, &clean);
         for t in 0..overlaid.len() {
             assert_eq!(overlaid.at(t), a.at(t));

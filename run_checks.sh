@@ -1,5 +1,5 @@
 #!/bin/bash
-# Repository health gate: formatting, lints, and the full test suite.
+# Repository health gate: formatting, lints, rustdoc, and the full test suite.
 # Used standalone and as the preflight for run_experiments.sh.
 set -u
 cd "$(dirname "$0")"
@@ -17,6 +17,9 @@ step() {
 step fmt    cargo fmt --all --check
 step clippy cargo clippy --workspace --all-targets -- -D warnings
 step tests  cargo test -q --workspace
+# Rustdoc with warnings denied: a doc link to a deleted or private item
+# fails the gate instead of dangling.
+step doc    env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # Workspace lint pass: builds the interprocedural call graph and exits
 # non-zero when library code regresses against AUDIT_baseline.json
 # (panic reachability from declared entry points, inferred hot-set

@@ -1,9 +1,11 @@
-//! Fault-injection integration tests: the supervised pipeline must complete
-//! a full D1-scale partitioning run under every fault class of the standard
-//! suite, and the run report must record exactly how it recovered.
+//! Fault integration tests for the supervised pipeline at D1 scale: the
+//! faults supervision can recover from — solver storms and a broken mining
+//! stage — complete with a valid partition and a report that records
+//! exactly how the run recovered, and corrupt densities are refused by the
+//! density gate before any attempt runs.
 
-use roadpart::faults::Fault;
 use roadpart::prelude::*;
+use roadpart::RoadpartError;
 
 fn d1_case() -> (RoadNetwork, Vec<f64>) {
     // Scale/seed matching integration_pipeline: the mined supergraph has
@@ -15,16 +17,30 @@ fn d1_case() -> (RoadNetwork, Vec<f64>) {
     (dataset.network, densities)
 }
 
-/// Every fault class in the standard suite completes via supervision with a
-/// valid connected k-way partition and a report explaining the recovery.
+/// `densities` with every `stride`-th value from `offset` on set to `value`.
+fn strided(densities: &[f64], stride: usize, offset: usize, value: f64) -> Vec<f64> {
+    let mut d = densities.to_vec();
+    for v in d.iter_mut().skip(offset).step_by(stride) {
+        *v = value;
+    }
+    d
+}
+
+/// Every recoverable fault class completes via supervision with a valid
+/// connected k-way partition and a report explaining the recovery: a
+/// two-failure solver storm absorbed by the fallback ladder, and a broken
+/// mining stage degraded from ASG to AG.
 #[test]
 fn supervisor_recovers_from_every_standard_fault() {
-    let (net, base_densities) = d1_case();
-    for (name, plan) in FaultPlan::standard_suite() {
-        let mut densities = base_densities.clone();
-        let mut pipeline = PipelineConfig::asg(4).with_seed(21);
-        plan.apply(&mut densities, &mut pipeline);
-
+    let (net, densities) = d1_case();
+    let mut storm = PipelineConfig::asg(4).with_seed(21);
+    storm.framework.spectral.fallback.inject_failures = 2;
+    let mut broken_mining = PipelineConfig::asg(4).with_seed(21);
+    broken_mining.framework.mining.mcg_threshold_frac = 2.0;
+    for (name, pipeline) in [
+        ("forced-not-converged", storm),
+        ("broken-mining", broken_mining),
+    ] {
         let cfg = SupervisorConfig::new(pipeline);
         let run = run_supervised(&net, &densities, &cfg)
             .unwrap_or_else(|e| panic!("{name}: supervision failed: {e}"));
@@ -50,33 +66,27 @@ fn supervisor_recovers_from_every_standard_fault() {
 
         // The report must be explicit about what recovery happened.
         assert!(run.report.succeeded, "{name}");
-        let v = &run.report.validation;
-        match plan.faults[0] {
-            Fault::NanDensities { .. }
-            | Fault::InfiniteDensities { .. }
-            | Fault::NegativeDensities { .. } => {
-                assert!(!v.repairs.is_empty(), "{name}: no repairs recorded");
-            }
-            Fault::TruncatedDensities { drop } => {
-                assert_eq!(v.padded, drop, "{name}: padding not recorded");
-            }
-            Fault::ForcedNotConverged { failures } => {
-                assert_eq!(
-                    run.report.recoveries.failures(),
-                    failures,
-                    "{name}: ladder rungs not recorded"
-                );
-                assert!(
-                    run.report.recoveries.events.last().unwrap().succeeded,
-                    "{name}: final rung did not succeed"
-                );
-            }
+        if name == "forced-not-converged" {
+            assert_eq!(
+                run.report.recoveries.failures(),
+                2,
+                "{name}: ladder rungs not recorded"
+            );
+            assert!(
+                run.report.recoveries.events.last().unwrap().succeeded,
+                "{name}: final rung did not succeed"
+            );
+            assert_eq!(run.report.attempts.len(), 1, "{name}: ladder absorbed it");
+        } else {
+            assert!(run.report.degraded, "{name}: degradation not recorded");
+            assert_eq!(run.report.final_scheme, Some(Scheme::AG), "{name}");
         }
 
         // The report is machine-readable end to end.
         let json = serde_json::to_string_pretty(&run.report).unwrap();
         let back: RunReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back.attempts.len(), run.report.attempts.len(), "{name}");
+        assert_eq!(back.degraded, run.report.degraded, "{name}");
     }
 }
 
@@ -97,45 +107,65 @@ fn forced_not_converged_climbs_to_dense_rung() {
     assert!(run.result.partition.k() >= 2);
 }
 
-/// Simultaneous faults — corrupt sensors *and* a flaky solver — recover in
-/// a single supervised attempt.
+/// Simultaneous faults — corrupt sensors *and* a flaky solver. The sensors
+/// are refused by the gate before any attempt, so the error is the gate's,
+/// not the solver's; once the sensors are clean, the flaky solver recovers
+/// in a single supervised attempt.
 #[test]
 fn combined_faults_recover_together() {
-    let (net, mut densities) = d1_case();
+    let (net, densities) = d1_case();
     let mut pipeline = PipelineConfig::asg(3).with_seed(21);
-    let plan = FaultPlan {
-        faults: vec![
-            Fault::NanDensities {
-                stride: 11,
-                offset: 3,
-            },
-            Fault::ForcedNotConverged { failures: 1 },
-        ],
-    };
-    plan.apply(&mut densities, &mut pipeline);
+    pipeline.framework.spectral.fallback.inject_failures = 1;
     let cfg = SupervisorConfig::new(pipeline);
+
+    let corrupt = strided(&densities, 11, 3, f64::NAN);
+    match run_supervised(&net, &corrupt, &cfg) {
+        Err(RoadpartError::Net(e)) => assert_eq!(e.to_string(), "density[3] is NaN"),
+        Err(other) => panic!("expected the gate's error, got {other}"),
+        Ok(_) => panic!("corrupt densities were accepted"),
+    }
+
     let run = run_supervised(&net, &densities, &cfg).unwrap();
-    assert!(!run.report.validation.repairs.is_empty());
+    assert_eq!(run.report.attempts.len(), 1);
     assert_eq!(run.report.recoveries.failures(), 1);
     assert_eq!(run.result.partition.len(), net.segment_count());
 }
 
-/// Strict policy refuses repair: the corrupted run fails fast with a data
+/// The batch path's only policy is strict: every way a density vector can
+/// be bad — strided NaN, +inf and negative values, a short vector and a
+/// long one — fails fast in `run_supervised` with the gate's own data
 /// error instead of limping through.
 #[test]
 fn strict_policy_fails_fast_on_corrupt_densities() {
-    let (net, mut densities) = d1_case();
-    let mut pipeline = PipelineConfig::asg(3).with_seed(21);
-    FaultPlan::single(Fault::NanDensities {
-        stride: 13,
-        offset: 0,
-    })
-    .apply(&mut densities, &mut pipeline);
-    let mut cfg = SupervisorConfig::new(pipeline);
-    cfg.policy = SanitizePolicy::Strict;
-    let err = run_supervised(&net, &densities, &cfg).unwrap_err();
-    assert!(
-        matches!(err, roadpart::RoadpartError::InvalidData(_)),
-        "expected a structured data error, got: {err}"
-    );
+    let (net, base) = d1_case();
+    let n = net.segment_count();
+    let mut long = base.clone();
+    long.push(0.1);
+    let cases = [
+        (
+            strided(&base, 5, 0, f64::NAN),
+            "density[0] is NaN".to_string(),
+        ),
+        (
+            strided(&base, 9, 2, f64::INFINITY),
+            "density[2] is +inf".to_string(),
+        ),
+        (
+            strided(&base, 7, 1, -1.0),
+            "density[1] is negative".to_string(),
+        ),
+        (
+            base[..n - 10].to_vec(),
+            format!("{} densities for {n} segments", n - 10),
+        ),
+        (long, format!("{} densities for {n} segments", n + 1)),
+    ];
+    let cfg = SupervisorConfig::new(PipelineConfig::asg(4).with_seed(21));
+    for (densities, msg) in cases {
+        match run_supervised(&net, &densities, &cfg) {
+            Err(RoadpartError::Net(e)) => assert_eq!(e.to_string(), msg),
+            Err(other) => panic!("{msg}: expected the gate's error, got {other}"),
+            Ok(_) => panic!("{msg}: the run was accepted"),
+        }
+    }
 }
